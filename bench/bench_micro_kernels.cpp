@@ -1,7 +1,7 @@
 // Micro-benchmarks for the SPOD hot-path kernels this codebase optimises:
 // rulebook sparse conv (vs the hash-probe reference), voxelisation with and
-// without a reusable scratch, the RPN Conv2d row sweep, BEV flattening and
-// the ICP correspondence gather.
+// without a reusable scratch, the RPN Conv2d row sweep, BEV flattening, the
+// ICP correspondence gather and BEV proposal clustering on a fused cloud.
 //
 // Two modes:
 //   default       — timed run (best-of-reps), writes a JSON baseline to
@@ -10,8 +10,9 @@
 //   --smoke       — few iterations, no timing thresholds; instead asserts
 //                   that every optimised kernel is bit-identical to its
 //                   reference (rulebook vs map probe, scratch vs fresh,
-//                   out-param vs by-value).  This is what the `perf` ctest
-//                   label runs, including under the sanitizer presets.
+//                   out-param vs by-value, clustering vs all pairs).
+//                   This is what the `perf` ctest label runs, including
+//                   under the sanitizer presets.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -21,6 +22,8 @@
 #include "common/rng.h"
 #include "common/simd.h"
 #include "common/status.h"
+#include "core/session.h"
+#include "eval/experiment.h"
 #include "net/crc32.h"
 #include "nn/layers.h"
 #include "nn/sparse_conv.h"
@@ -28,6 +31,9 @@
 #include "pointcloud/icp.h"
 #include "pointcloud/point_cloud.h"
 #include "pointcloud/voxel_grid.h"
+#include "sim/lidar.h"
+#include "sim/scenario.h"
+#include "spod/clustering.h"
 
 using namespace cooper;
 
@@ -126,6 +132,57 @@ void CheckGridsEqual(const pc::VoxelGrid& a, const pc::VoxelGrid& b,
   std::printf("  %-32s bit-identical: yes\n", what);
 }
 
+void CheckClustersEqual(const std::vector<spod::Cluster>& a,
+                        const std::vector<spod::Cluster>& b, const char* what) {
+  COOPER_CHECK(a.size() == b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    COOPER_CHECK(a[i].points.size() == b[i].points.size());
+    for (std::size_t p = 0; p < a[i].points.size(); ++p) {
+      const pc::Point& u = a[i].points[p];
+      const pc::Point& v = b[i].points[p];
+      COOPER_CHECK(u.position.x == v.position.x);
+      COOPER_CHECK(u.position.y == v.position.y);
+      COOPER_CHECK(u.position.z == v.position.z);
+      COOPER_CHECK(u.reflectance == v.reflectance);
+    }
+  }
+  std::printf("  %-32s bit-identical: yes\n", what);
+}
+
+// The cloud SPOD clusters on a T&J scenario-2 receiver: ego plus its 4
+// cooperators' front-sector packages fused by a CooperativeSession, cut at
+// the detector's ground margin.  Also returns the detector's config.
+pc::PointCloud MakeTjFusedAboveGround(std::uint64_t seed,
+                                      spod::SpodConfig* detector) {
+  const sim::Scenario scenario = sim::MakeTjScenario(2);
+  const core::CooperConfig cfg = eval::MakeCooperConfig(scenario.lidar);
+  const sim::LidarSimulator lidar(scenario.lidar);
+  Rng rng(seed);
+  const geom::Vec3 mount{0, 0, scenario.lidar.sensor_height};
+  std::vector<pc::PointCloud> scans;
+  std::vector<core::NavMetadata> navs;
+  for (const auto& vp : scenario.viewpoints) {
+    scans.push_back(lidar.Scan(scenario.scene, vp.ToPose(), rng));
+    navs.push_back(core::NavMetadata{vp.position, vp.attitude, mount});
+  }
+  core::CooperativeSession session(cfg);
+  for (std::uint32_t k = 1; k < scans.size(); ++k) {
+    COOPER_CHECK(session
+                     .ReceivePackage(session.pipeline().MakePackage(
+                                         k, 10.0,
+                                         core::RoiCategory::kFrontSector,
+                                         navs[k], scans[k]),
+                                     10.0)
+                     .ok());
+  }
+  pc::PointCloud fused =
+      session.DetectCooperative(scans[0], navs[0], 10.0).fused_cloud;
+  fused.RemoveInvalid();
+  *detector = cfg.detector;
+  return fused.FilterMinZ(pc::EstimateGroundZ(fused) +
+                          cfg.detector.ground_margin);
+}
+
 // Forces the scalar dispatch tier for the lifetime of the scope — used for
 // the paired "<kernel>_scalar" comparison rows and the scalar-vs-simd smoke
 // equality checks.  Restores auto (best detected tier) on exit.
@@ -142,6 +199,7 @@ constexpr std::uint64_t kConv2dSeed = 303;
 constexpr std::uint64_t kBevSeed = 404;
 constexpr std::uint64_t kIcpSeed = 505;
 constexpr std::uint64_t kCrcSeed = 606;
+constexpr std::uint64_t kClusterScanSeed = 707;
 
 }  // namespace
 
@@ -364,6 +422,33 @@ int main(int argc, char** argv) {
     }
   }
 
+  // --- BEV proposal clustering on a fused multi-vehicle cloud ---
+  std::size_t cluster_points = 0;
+  double cluster_radius = 0.0;
+  {
+    spod::SpodConfig detector;
+    const pc::PointCloud above =
+        MakeTjFusedAboveGround(kClusterScanSeed, &detector);
+    const std::size_t min_points = detector.min_cluster_points;
+    cluster_radius = detector.cluster_merge_radius;
+    cluster_points = above.size();
+    std::printf("cluster_tj_fused: %zu above-ground points, r = %.2f m\n",
+                above.size(), cluster_radius);
+    spod::ClusterScratch scratch;
+    (void)spod::ClusterPoints(above, cluster_radius, min_points, &scratch);
+    std::vector<spod::Cluster> clusters;
+    results.push_back(TimeKernel("cluster_tj_fused", reps, [&] {
+      clusters =
+          spod::ClusterPoints(above, cluster_radius, min_points, &scratch);
+      COOPER_CHECK(!clusters.empty());
+    }));
+    if (smoke) {
+      CheckClustersEqual(
+          spod::ClusterPointsAllPairs(above, cluster_radius, min_points),
+          clusters, "cluster cells vs all pairs");
+    }
+  }
+
   // --- JSON baseline ---
   std::FILE* f = std::fopen(out_path.c_str(), "w");
   COOPER_CHECK(f != nullptr);
@@ -382,18 +467,23 @@ int main(int argc, char** argv) {
                common::simd::TierName(common::simd::ActiveTier()));
   std::fprintf(f,
                "  \"seeds\": {\"voxelize\": %llu, \"sparse_conv\": %llu, "
-               "\"conv2d\": %llu, \"bev\": %llu, \"icp\": %llu, \"crc\": %llu},\n",
+               "\"conv2d\": %llu, \"bev\": %llu, \"icp\": %llu, \"crc\": %llu, "
+               "\"cluster_scan\": %llu},\n",
                static_cast<unsigned long long>(kVoxelizeSeed),
                static_cast<unsigned long long>(kSparseConvSeed),
                static_cast<unsigned long long>(kConv2dSeed),
                static_cast<unsigned long long>(kBevSeed),
                static_cast<unsigned long long>(kIcpSeed),
-               static_cast<unsigned long long>(kCrcSeed));
+               static_cast<unsigned long long>(kCrcSeed),
+               static_cast<unsigned long long>(kClusterScanSeed));
   std::fprintf(f,
                "  \"config\": {\"voxelize_points\": 120000, "
                "\"sparse_field\": [64, 64, 10], \"sparse_density\": 0.12, "
                "\"bev_shape\": [16, 200, 176], \"icp_points\": 20000, "
-               "\"crc_bytes\": 1048576},\n");
+               "\"crc_bytes\": 1048576, \"cluster_scenario\": "
+               "\"tj-scenario-2 ego + 4 cooperators, front-sector ROI\", "
+               "\"cluster_points\": %zu, \"cluster_radius\": %.2f},\n",
+               cluster_points, cluster_radius);
   std::fprintf(f, "  \"benchmarks\": [\n");
   for (std::size_t i = 0; i < results.size(); ++i) {
     const auto& r = results[i];

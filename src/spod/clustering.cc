@@ -7,19 +7,19 @@
 #include <tuple>
 #include <utility>
 
-#include "common/thread_pool.h"
-#include "pointcloud/kdtree.h"
-
 namespace cooper::spod {
 namespace {
 
 constexpr std::uint32_t kNone = 0xffffffffu;
 
-// Below this size the FlatMap grid costs more than it saves; a k-d tree over
-// z-flattened points answers the identical inclusive BEV-radius predicate
-// (squared norm with z = 0), so both paths produce the same merge-edge set
-// and therefore the same components.
-constexpr std::size_t kKdTreeMaxPoints = 256;
+// The other cells a cell can share an edge with, halved so each unordered
+// pair of cells is visited once: with side r/√2, two points within r are
+// at most ceil(√2) = 2 cells apart per axis, so the 5×5 block around a cell
+// holds all of them.  Its corners matter: two cells apart on both axes is
+// still within reach of the diagonal.
+constexpr int kHalfNeighbourhood[12][2] = {
+    {1, 0},  {2, 0},  {-2, 1}, {-1, 1}, {0, 1}, {1, 1},
+    {2, 1},  {-2, 2}, {-1, 2}, {0, 2},  {1, 2}, {2, 2}};
 
 // Union-find over point indices, on caller-owned storage.
 class DisjointSet {
@@ -78,12 +78,28 @@ std::vector<Cluster> CollectClusters(const pc::PointCloud& cloud,
   return out;
 }
 
+// True when some point of chain `a` and some point of chain `b` are within
+// the merge radius, by the same inclusive predicate the components are
+// defined on.  Stops at the first such pair.
+bool AnyPairWithin(const pc::PointCloud& cloud,
+                   const std::vector<std::uint32_t>& next, std::uint32_t a,
+                   std::uint32_t b, double r2) {
+  for (std::uint32_t i = a; i != kNone; i = next[i]) {
+    const geom::Vec3& p = cloud[i].position;
+    for (std::uint32_t j = b; j != kNone; j = next[j]) {
+      const double dx = p.x - cloud[j].position.x;
+      const double dy = p.y - cloud[j].position.y;
+      if (dx * dx + dy * dy <= r2) return true;
+    }
+  }
+  return false;
+}
+
 }  // namespace
 
 std::vector<Cluster> ClusterPoints(const pc::PointCloud& cloud,
                                    double merge_radius,
                                    std::size_t min_points,
-                                   int num_threads,
                                    ClusterScratch* scratch) {
   if (cloud.empty()) return {};
   ClusterScratch local;
@@ -91,28 +107,12 @@ std::vector<Cluster> ClusterPoints(const pc::PointCloud& cloud,
   const std::size_t n = cloud.size();
   DisjointSet ds(sc.parent, n);
 
-  if (n <= kKdTreeMaxPoints) {
-    // Small clouds: query a k-d tree over z-flattened points instead of
-    // building the cell index.  The output-parameter RadiusSearch reuses one
-    // result vector's capacity across all seeds.
-    sc.flat.clear();
-    sc.flat.reserve(n);
-    for (const auto& p : cloud) {
-      sc.flat.push_back({{p.position.x, p.position.y, 0.0}, p.reflectance});
-    }
-    const pc::KdTree tree(sc.flat);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      tree.RadiusSearch(sc.flat[i].position, merge_radius, &sc.radius_result);
-      for (const std::uint32_t j : sc.radius_result) {
-        if (j > i) ds.Union(i, j);
-      }
-    }
-    return CollectClusters(cloud, ds, min_points, sc.root_slot);
-  }
-
   // Cell index: FlatMap cell -> dense cell id, with per-cell point lists as
   // prepend chains over two flat arrays (no per-cell vector allocations).
-  const double cell = merge_radius;
+  // The side is r/√2 shrunk by 1e-6, which absorbs rounding in floor(p /
+  // cell): two points in one cell are strictly within r of each other, so
+  // each point joins its cell with a single union as it is inserted.
+  const double cell = merge_radius / std::sqrt(2.0) * (1.0 - 1e-6);
   sc.grid.Clear();
   sc.grid.Reserve(n / 2 + 16);
   sc.cell_keys.clear();
@@ -128,53 +128,51 @@ std::vector<Cluster> ClusterPoints(const pc::PointCloud& cloud,
     if (inserted) {
       sc.cell_keys.push_back(key);
       sc.cell_head.push_back(kNone);
+    } else {
+      ds.Union(i, sc.cell_head[*slot]);
     }
     sc.point_next[i] = sc.cell_head[*slot];
     sc.cell_head[*slot] = i;
   }
 
-  // Parallel phase: the O(pairs) distance sweep — each seed cell emits the
-  // merge edges of its 3x3 neighbourhood into its chunk's scratch buffer.
-  // A qualifying pair is emitted exactly once (outer index < inner index),
-  // and since dist <= radius = cell size implies adjacent cells, the edge
-  // set is precisely every point pair within the BEV merge radius.
+  // Cell-pair sweep: a cross-cell edge joins two whole cells, so each pair
+  // of occupied neighbour cells needs one edge at most — none if the cells
+  // already share a root, otherwise the first pair found within r.  It runs
+  // serially: it costs a few ms on the densest fused cloud, and union order
+  // changes no component (CollectClusters makes the output order canonical).
   const double r2 = merge_radius * merge_radius;
   const std::size_t num_cells = sc.cell_keys.size();
-  constexpr std::size_t kGrain = 32;
-  const std::size_t num_parts = (num_cells + kGrain - 1) / kGrain;
-  if (sc.parts.size() < num_parts) sc.parts.resize(num_parts);
-  for (std::size_t s = 0; s < num_parts; ++s) sc.parts[s].clear();
-  common::ParallelFor(
-      num_threads, 0, num_cells, kGrain,
-      [&](std::size_t lo, std::size_t hi) {
-        auto& out = sc.parts[lo / kGrain];
-        for (std::size_t ci = lo; ci < hi; ++ci) {
-          const pc::VoxelCoord& key = sc.cell_keys[ci];
-          for (int dy = -1; dy <= 1; ++dy) {
-            for (int dx = -1; dx <= 1; ++dx) {
-              const std::uint32_t* nb =
-                  sc.grid.Find({key.x + dx, key.y + dy, 0});
-              if (nb == nullptr) continue;
-              for (std::uint32_t i = sc.cell_head[ci]; i != kNone;
-                   i = sc.point_next[i]) {
-                for (std::uint32_t j = sc.cell_head[*nb]; j != kNone;
-                     j = sc.point_next[j]) {
-                  if (j <= i) continue;
-                  const double ddx = cloud[i].position.x - cloud[j].position.x;
-                  const double ddy = cloud[i].position.y - cloud[j].position.y;
-                  if (ddx * ddx + ddy * ddy <= r2) out.push_back({i, j});
-                }
-              }
-            }
-          }
-        }
-      });
-
-  // Serial phase: union-find over the gathered edges.
-  for (std::size_t s = 0; s < num_parts; ++s) {
-    for (const auto& e : sc.parts[s]) ds.Union(e.i, e.j);
+  for (std::size_t ci = 0; ci < num_cells; ++ci) {
+    const pc::VoxelCoord key = sc.cell_keys[ci];
+    const std::uint32_t head = sc.cell_head[ci];
+    for (const auto& d : kHalfNeighbourhood) {
+      const std::uint32_t* nb = sc.grid.Find({key.x + d[0], key.y + d[1], 0});
+      if (nb == nullptr) continue;
+      const std::uint32_t other = sc.cell_head[*nb];
+      if (ds.Find(head) == ds.Find(other)) continue;
+      if (AnyPairWithin(cloud, sc.point_next, head, other, r2)) {
+        ds.Union(head, other);
+      }
+    }
   }
   return CollectClusters(cloud, ds, min_points, sc.root_slot);
+}
+
+std::vector<Cluster> ClusterPointsAllPairs(const pc::PointCloud& cloud,
+                                           double merge_radius,
+                                           std::size_t min_points) {
+  std::vector<std::uint32_t> parent, root_slot;
+  const std::size_t n = cloud.size();
+  DisjointSet ds(parent, n);
+  const double r2 = merge_radius * merge_radius;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    for (std::uint32_t j = i + 1; j < n; ++j) {
+      const double dx = cloud[i].position.x - cloud[j].position.x;
+      const double dy = cloud[i].position.y - cloud[j].position.y;
+      if (dx * dx + dy * dy <= r2) ds.Union(i, j);
+    }
+  }
+  return CollectClusters(cloud, ds, min_points, root_slot);
 }
 
 geom::Box3 FitOrientedBox(const pc::PointCloud& cluster) {

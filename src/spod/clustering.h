@@ -22,41 +22,54 @@ struct Cluster {
 
 /// Reusable working set for ClusterPoints: the BEV cell index (a FlatMap
 /// keyed on `pc::VoxelCoord` with z = 0), the first-appearance cell list and
-/// chained per-cell point lists, the per-chunk edge buffers of the parallel
-/// sweep, union-find storage, and the k-d path's query buffer.  Everything
-/// is cleared — not freed — between calls, so steady-state frames allocate
+/// chained per-cell point lists, and union-find storage.  Everything is
+/// cleared — not freed — between calls, so steady-state frames allocate
 /// near zero.  A scratch may be shared by successive calls but not by
 /// concurrent ones.
 struct ClusterScratch {
-  struct Edge {
-    std::uint32_t i, j;
-  };
   common::FlatMap<pc::VoxelCoord, std::uint32_t, pc::VoxelCoordHash> grid;
   std::vector<pc::VoxelCoord> cell_keys;   // first-appearance order
   std::vector<std::uint32_t> cell_head;    // head of each cell's point chain
   std::vector<std::uint32_t> point_next;   // next point in the same cell
-  std::vector<std::vector<Edge>> parts;    // one per sweep chunk
   std::vector<std::uint32_t> parent;       // union-find
   std::vector<std::uint32_t> root_slot;    // root point index -> cluster slot
-  std::vector<std::uint32_t> radius_result;  // k-d path query buffer
-  pc::PointCloud flat;                     // z-flattened copy for the k-d path
 };
 
-/// Groups points whose BEV distance is below `merge_radius` into connected
-/// components (grid-hashed single-linkage; small clouds use a k-d tree over
-/// z-flattened points instead — the same inclusive BEV predicate, so the
-/// same components). Components smaller than `min_points` are discarded.
-/// `num_threads` parallelises the pair-distance sweep (<= 0: hardware
-/// concurrency, 1: serial); the output is identical for every thread count —
-/// merge edges are gathered per grid cell and union-find runs serially, and
-/// component membership does not depend on union order anyway.  `scratch`
+/// Groups points into the connected components of the inclusive BEV edge
+/// set `dx² + dy² <= merge_radius²`; components smaller than `min_points`
+/// are discarded.  Points are hashed into square cells of side
+/// `merge_radius/√2` (shrunk by 1e-6 so rounding in the cell index cannot
+/// widen a cell): any two points in one cell are within the radius, so each
+/// cell is one union, and any two points within the radius are at most two
+/// cells apart per axis, so one serial sweep over each pair of occupied
+/// cells in a 5×5 neighbourhood — skipped when the two cells already share
+/// a root, otherwise stopped at the first pair within the radius — finds
+/// every component.  Work grows with occupied cells, not with point pairs.
+/// The output order is canonical (clusters sorted by first point, points in
+/// input order), so it does not depend on union order.  `scratch`
 /// (optional) provides reusable working storage; identical output with or
 /// without it.
 std::vector<Cluster> ClusterPoints(const pc::PointCloud& cloud,
                                    double merge_radius,
                                    std::size_t min_points,
-                                   int num_threads = 1,
                                    ClusterScratch* scratch = nullptr);
+
+/// The earlier signature with a thread count, kept so existing callers still
+/// compile.  Clustering is serial; `num_threads` is ignored.
+inline std::vector<Cluster> ClusterPoints(const pc::PointCloud& cloud,
+                                          double merge_radius,
+                                          std::size_t min_points,
+                                          int /*num_threads*/,
+                                          ClusterScratch* scratch) {
+  return ClusterPoints(cloud, merge_radius, min_points, scratch);
+}
+
+/// O(n²) reference for ClusterPoints: unions every point pair within the
+/// radius, with the same output order.  Tests and `bench_micro_kernels
+/// --smoke` compare the cell sweep against it.
+std::vector<Cluster> ClusterPointsAllPairs(const pc::PointCloud& cloud,
+                                           double merge_radius,
+                                           std::size_t min_points);
 
 /// Minimum-area oriented bounding box of a cluster: yaw is searched over
 /// [0, 90) degrees (the rectangle is symmetric beyond that), extents come

@@ -68,8 +68,8 @@ struct SpodConfig {
   // Plausible car extents (after box fit) used to reject clutter.
   double min_length = 1.0, max_length = 6.5;
   double min_width = 0.6, max_width = 3.2;
-  // Threads for the parallel stages (voxelisation, sparse middle layers,
-  // clustering; <= 0: hardware concurrency, 1: serial).  Detections are
+  // Threads for the parallel stages (voxelisation, sparse middle layers;
+  // <= 0: hardware concurrency, 1: serial).  Detections are
   // bit-identical for every thread count — see DESIGN.md "Threading model".
   int num_threads = 1;
   // Keep the detector's working storage (rulebook cache, hash indices,

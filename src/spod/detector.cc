@@ -219,8 +219,7 @@ SpodResult SpodDetector::DetectWithFeatures(
 
   // --- Stage 5: proposals, confidence, NMS. ---
   auto clusters = ClusterPoints(above, config_.cluster_merge_radius,
-                                config_.min_cluster_points, config_.num_threads,
-                                &sc.cluster);
+                                config_.min_cluster_points, &sc.cluster);
   // Oversized clusters are usually several objects bridged by stray returns
   // (a car parked against a truck); split them once at a tighter radius so
   // the parts get their own proposals instead of a blanket rejection.
@@ -231,8 +230,7 @@ SpodResult SpodDetector::DetectWithFeatures(
       if (probe.length > config_.max_length || probe.width > config_.max_width) {
         auto parts = ClusterPoints(cluster.points,
                                    0.55 * config_.cluster_merge_radius,
-                                   config_.min_cluster_points,
-                                   config_.num_threads, &sc.cluster);
+                                   config_.min_cluster_points, &sc.cluster);
         for (auto& part : parts) refined.push_back(std::move(part));
       } else {
         refined.push_back(std::move(cluster));

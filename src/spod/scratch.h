@@ -33,7 +33,7 @@ struct DetectorCandidate {
 struct PipelineScratch {
   pc::VoxelGridScratch voxel_grid;     // chunk-local shard grids
   nn::SparseConvScratch sparse_conv;   // rulebook cache + index maps
-  ClusterScratch cluster;              // cell index, edges, union-find
+  ClusterScratch cluster;              // cell index, union-find
   nn::Tensor bev;                      // SparseToBev output
   nn::Tensor rpn1, rpn2;               // RPN feature maps
   std::vector<DetectorCandidate> candidates;  // proposal buffer

@@ -89,39 +89,129 @@ void ExpectClustersIdentical(const std::vector<Cluster>& a,
 }
 
 TEST(ClusteringTest, ScratchAndThreadCountDoNotChangeClusters) {
-  pc::PointCloud cloud = GridPatch(0, 0, 2.0, 0.2);       // > 256 pts: grid path
+  pc::PointCloud cloud = GridPatch(0, 0, 2.0, 0.2);
   cloud.Merge(GridPatch(12, 4, 1.5, 0.2));
   cloud.Merge(GridPatch(-9, -7, 1.0, 0.2));
-  ASSERT_GT(cloud.size(), 256u);
   const auto base = ClusterPoints(cloud, 0.9, 5);
   ClusterScratch scratch;
-  for (const int threads : {1, 2, 5}) {
-    ExpectClustersIdentical(base, ClusterPoints(cloud, 0.9, 5, threads));
-    // Same scratch reused across calls and thread counts.
-    ExpectClustersIdentical(base,
-                            ClusterPoints(cloud, 0.9, 5, threads, &scratch));
+  // Same scratch reused across calls, including a call on another cloud.
+  ExpectClustersIdentical(base, ClusterPoints(cloud, 0.9, 5, &scratch));
+  (void)ClusterPoints(GridPatch(30, 30, 3.0, 0.1), 0.5, 5, &scratch);
+  ExpectClustersIdentical(base, ClusterPoints(cloud, 0.9, 5, &scratch));
+}
+
+// ClusterPoints' cell side for `merge_radius`.
+double CellSide(double merge_radius) {
+  return merge_radius / std::sqrt(2.0) * (1.0 - 1e-6);
+}
+
+// A cloud built to hit every edge of the cell sweep at one radius: a dense
+// cell, pairs exactly r apart, points on and next to cell boundaries,
+// scattered points over +-70 m (negative coordinates included), and pairs
+// two cells apart whose gap is just under or just over r.
+pc::PointCloud OracleCloud(double r, std::uint64_t seed) {
+  Rng rng(seed);
+  const double cell = CellSide(r);
+  pc::PointCloud cloud;
+  auto add = [&cloud, &rng](double x, double y) {
+    cloud.Add({x, y, rng.Uniform(0.0, 2.0)},
+              static_cast<float>(rng.Uniform()));
+  };
+  // 2 100 points inside cell (5, -3), with a sparser crowd around it.
+  for (int i = 0; i < 2100; ++i) {
+    add(cell * (5.0 + rng.Uniform(0.01, 0.99)),
+        cell * (-3.0 + rng.Uniform(0.01, 0.99)));
+  }
+  for (int i = 0; i < 300; ++i) {
+    add(cell * rng.Uniform(2.0, 9.0), cell * rng.Uniform(-6.0, 0.0));
+  }
+  // Scattered points over the whole +-70 m range, plus the range corners.
+  for (int i = 0; i < 1500; ++i) {
+    add(rng.Uniform(-70.0, 70.0), rng.Uniform(-70.0, 70.0));
+  }
+  for (const double x : {-70.0, 70.0}) {
+    for (const double y : {-70.0, 70.0}) {
+      add(x, y);
+      add(x - 0.5 * r, y + 0.5 * r);
+    }
+  }
+  // Pairs exactly r apart, along each axis and across zero.
+  for (const double y : {-41.0, -7.5, 12.25}) {
+    add(0.0, y);
+    add(r, y);
+    add(-r, y + 0.3 * r);
+    add(0.0, y + 0.3 * r);
+    add(y, 0.0);
+    add(y, r);
+  }
+  for (int i = 0; i < 60; ++i) {
+    const double x = rng.Uniform(-60.0, 60.0);
+    const double y = rng.Uniform(-60.0, 60.0);
+    add(x, y);
+    add(x + r, y);
+  }
+  // Points on cell boundaries and one ulp either side.
+  for (int i = 0; i < 200; ++i) {
+    const double x = cell * static_cast<int>(rng.Uniform(-150.0, 150.0));
+    const double y = cell * static_cast<int>(rng.Uniform(-150.0, 150.0));
+    add(x, y);
+    add(std::nextafter(x, -1e9), y);
+    add(x, std::nextafter(y, 1e9));
+  }
+  // Pairs two cells apart (on one axis, or on both for the diagonal) at a
+  // gap of r(1 -+ 1e-9), laid out 6 m apart along y = -75.
+  double x = -60.0;
+  for (const double scale : {1.0 - 1e-9, 1.0 + 1e-9}) {
+    for (int axis = 0; axis < 3; ++axis) {
+      const double x0 = cell * (std::floor(x / cell) + 1.0) - 1e-8 * cell;
+      const double y0 = cell * (std::floor(-75.0 / cell) + 1.0) - 1e-8 * cell;
+      const double d = axis == 2 ? r / std::sqrt(2.0) * scale : r * scale;
+      add(x0, y0);
+      add(x0 + (axis == 1 ? 0.0 : d), y0 + (axis == 0 ? 0.0 : d));
+      x += 6.0;
+    }
+  }
+  return cloud;
+}
+
+TEST(ClusteringTest, MatchesAllPairsReference) {
+  std::uint64_t seed = 41;
+  for (const double r : {0.605, 0.9, 1.1}) {
+    SCOPED_TRACE(r);
+    const pc::PointCloud cloud = OracleCloud(r, seed++);
+    ClusterScratch scratch;
+    for (const std::size_t min_points : {1u, 5u}) {
+      const auto reference = ClusterPointsAllPairs(cloud, r, min_points);
+      ExpectClustersIdentical(reference, ClusterPoints(cloud, r, min_points));
+      ExpectClustersIdentical(reference,
+                              ClusterPoints(cloud, r, min_points, &scratch));
+    }
+    // Small clouds go down the same path.
+    pc::PointCloud small;
+    for (std::size_t i = 0; i < 200; ++i) small.push_back(cloud[i * 17]);
+    ExpectClustersIdentical(ClusterPointsAllPairs(small, r, 1),
+                            ClusterPoints(small, r, 1, &scratch));
   }
 }
 
-TEST(ClusteringTest, KdPathAgreesWithGridPathOnSharedStructure) {
-  // Two patches close to the origin; the small cloud (k-d path, <= 256 pts)
-  // and the same patches padded past 256 points with one distant extra patch
-  // (grid path) must produce identical clusters for the shared structure.
-  pc::PointCloud small = GridPatch(0, 0, 1.0, 0.25);      // 81 pts
-  small.Merge(GridPatch(8, 2, 1.0, 0.25));                // 162 total
-  ASSERT_LE(small.size(), 256u);
-  pc::PointCloud large = small;
-  large.Merge(GridPatch(60, 60, 1.5, 0.2));               // pushes past 256
-  ASSERT_GT(large.size(), 256u);
-  const auto small_clusters = ClusterPoints(small, 0.9, 5);
-  const auto large_clusters = ClusterPoints(large, 0.9, 5);
-  ASSERT_EQ(small_clusters.size(), 2u);
-  ASSERT_EQ(large_clusters.size(), 3u);
-  // Canonical order sorts by first-point position, so the shared clusters
-  // occupy the same slots in both results (the padding patch sorts last).
-  std::vector<Cluster> shared(large_clusters.begin(),
-                              large_clusters.begin() + 2);
-  ExpectClustersIdentical(small_clusters, shared);
+TEST(ClusteringTest, JoinsPairsTwoCellsApartOnlyWithinRadius) {
+  // A point at the top corner of its cell and a partner two cells further
+  // on one or both axes: joined at r(1 - 1e-9), separate at r(1 + 1e-9).
+  for (const double r : {0.605, 0.9, 1.1}) {
+    const double cell = CellSide(r);
+    const double c0 = cell * 4.0 - 1e-8 * cell;  // last stretch of cell 3
+    for (const bool diagonal : {false, true}) {
+      for (const double scale : {1.0 - 1e-9, 1.0 + 1e-9}) {
+        const double d = (diagonal ? r / std::sqrt(2.0) : r) * scale;
+        pc::PointCloud cloud;
+        cloud.Add({c0, c0, 0.5}, 0.5f);
+        cloud.Add({c0 + d, diagonal ? c0 + d : c0, 0.5}, 0.5f);
+        ASSERT_EQ(std::floor((c0 + d) / cell), 5.0);
+        EXPECT_EQ(ClusterPoints(cloud, r, 1).size(), scale < 1.0 ? 1u : 2u)
+            << "r " << r << " diagonal " << diagonal << " scale " << scale;
+      }
+    }
+  }
 }
 
 // --- Box fitting ---

@@ -2,15 +2,16 @@
 // cooperative sensing data, for the KITTI-style (64-beam) and T&J-style
 // (16-beam) sensors.
 //
-// Paper observation to preserve: fusing roughly doubles the input points but
-// adds only a small constant to detection time (~5 ms on the authors' GPU),
-// because the network's dense stages are resolution-bound, not point-bound.
-// Absolute numbers here are CPU milliseconds, so they are larger; the claim
-// under test is the *relative* overhead of Cooper vs single shot.
+// Paper observation: fusing roughly doubles the input points but adds only a
+// small constant to detection time (~5 ms on the authors' GPU).  This
+// detector has no learned dense head: every stage (preprocess, voxelise,
+// cluster/score) scales with points, so the overhead here is the cost of the
+// extra points.  Absolute numbers are CPU milliseconds; the claim under test
+// is the *relative* overhead of Cooper vs single shot.
 //
 // The report also breaks each stage down at 1 thread and at hardware
-// concurrency (the ThreadPool hot paths: voxelise, middle, proposals), and
-// checks the threading contract: detections are bit-identical at any thread
+// concurrency (voxelisation is the detector's ThreadPool stage), and checks
+// the threading contract: detections are bit-identical at any thread
 // count.
 #include <benchmark/benchmark.h>
 
@@ -170,9 +171,6 @@ void ReportCase(const char* name, const PreparedCase& p, int hw) {
     double spod::StageTimings::*field;
   } rows[] = {{"preprocess", &spod::StageTimings::preprocess_us},
               {"voxelize", &spod::StageTimings::voxelize_us},
-              {"vfe", &spod::StageTimings::vfe_us},
-              {"middle", &spod::StageTimings::middle_us},
-              {"rpn", &spod::StageTimings::rpn_us},
               {"proposals", &spod::StageTimings::proposals_us}};
   for (const auto& row : rows) {
     table.AddRow({row.stage, FormatFixed(s1.*row.field / 1e3, 2),

@@ -1,7 +1,6 @@
-// Micro-benchmarks for the SPOD hot-path kernels this codebase optimises:
-// rulebook sparse conv (vs the hash-probe reference), voxelisation with and
-// without a reusable scratch, the RPN Conv2d row sweep, BEV flattening, the
-// ICP correspondence gather and BEV proposal clustering on a fused cloud.
+// Micro-benchmarks for the hot-path kernels this codebase optimises:
+// voxelisation with and without a reusable scratch, the ICP correspondence
+// gather, frame CRC-32 and BEV proposal clustering on a fused cloud.
 //
 // Two modes:
 //   default       — timed run (best-of-reps), writes a JSON baseline to
@@ -9,8 +8,8 @@
 //                   committed baseline in the repo root is produced this way.
 //   --smoke       — few iterations, no timing thresholds; instead asserts
 //                   that every optimised kernel is bit-identical to its
-//                   reference (rulebook vs map probe, scratch vs fresh,
-//                   out-param vs by-value, clustering vs all pairs).
+//                   reference (scratch vs fresh, scalar vs SIMD dispatch,
+//                   clustering vs all pairs).
 //                   This is what the `perf` ctest label runs, including
 //                   under the sanitizer presets.
 #include <chrono>
@@ -25,9 +24,6 @@
 #include "core/session.h"
 #include "eval/experiment.h"
 #include "net/crc32.h"
-#include "nn/layers.h"
-#include "nn/sparse_conv.h"
-#include "nn/tensor.h"
 #include "pointcloud/icp.h"
 #include "pointcloud/point_cloud.h"
 #include "pointcloud/voxel_grid.h"
@@ -81,46 +77,7 @@ pc::PointCloud MakeScanLikeCloud(std::size_t n, Rng& rng) {
   return cloud;
 }
 
-nn::SparseTensor MakeSparseField(std::size_t channels, int ex, int ey, int ez,
-                                 double density, Rng& rng) {
-  nn::SparseTensor s;
-  s.spatial_shape = {ex, ey, ez};
-  for (int z = 0; z < ez; ++z) {
-    for (int y = 0; y < ey; ++y) {
-      for (int x = 0; x < ex; ++x) {
-        if (rng.Uniform() < density) s.coords.push_back({x, y, z});
-      }
-    }
-  }
-  s.features = nn::Tensor({s.coords.size(), channels});
-  for (std::size_t i = 0; i < s.features.size(); ++i) {
-    s.features[i] = static_cast<float>(rng.Normal());
-  }
-  return s;
-}
-
 // --- Bit-identity checks (the --smoke contract) ---
-
-void CheckSparseEqual(const nn::SparseTensor& a, const nn::SparseTensor& b,
-                      const char* what) {
-  COOPER_CHECK(a.spatial_shape == b.spatial_shape);
-  COOPER_CHECK(a.coords.size() == b.coords.size());
-  for (std::size_t i = 0; i < a.coords.size(); ++i) {
-    COOPER_CHECK(a.coords[i] == b.coords[i]);
-  }
-  COOPER_CHECK(a.features.size() == b.features.size());
-  for (std::size_t i = 0; i < a.features.size(); ++i) {
-    COOPER_CHECK(a.features[i] == b.features[i]);
-  }
-  std::printf("  %-32s bit-identical: yes\n", what);
-}
-
-void CheckTensorEqual(const nn::Tensor& a, const nn::Tensor& b,
-                      const char* what) {
-  COOPER_CHECK(a.shape() == b.shape());
-  for (std::size_t i = 0; i < a.size(); ++i) COOPER_CHECK(a[i] == b[i]);
-  std::printf("  %-32s bit-identical: yes\n", what);
-}
 
 void CheckGridsEqual(const pc::VoxelGrid& a, const pc::VoxelGrid& b,
                      const char* what) {
@@ -194,9 +151,6 @@ struct ScopedScalarMode {
 // RNG seeds for each deterministic workload, stamped into the JSON baseline
 // so a reader can reproduce the exact inputs (see EXPERIMENTS.md "Seeds").
 constexpr std::uint64_t kVoxelizeSeed = 101;
-constexpr std::uint64_t kSparseConvSeed = 202;
-constexpr std::uint64_t kConv2dSeed = 303;
-constexpr std::uint64_t kBevSeed = 404;
 constexpr std::uint64_t kIcpSeed = 505;
 constexpr std::uint64_t kCrcSeed = 606;
 constexpr std::uint64_t kClusterScanSeed = 707;
@@ -239,102 +193,6 @@ int main(int argc, char** argv) {
       mt.num_threads = 4;
       CheckGridsEqual(plain, pc::VoxelGrid(cloud, mt, &scratch),
                       "voxelize 4T vs 1T");
-    }
-  }
-
-  // --- Sparse conv: rulebook vs hash-probe reference ---
-  {
-    Rng rng(kSparseConvSeed);
-    const nn::SparseTensor x = MakeSparseField(8, 64, 64, 10, 0.12, rng);
-    std::printf("sparse_conv: %zu active sites\n", x.num_active());
-    const nn::SparseConv3d sub(8, 8, 3, 1, nn::SparseConvMode::kSubmanifold, rng);
-    const nn::SparseConv3d down(8, 16, 3, 2, nn::SparseConvMode::kRegular, rng);
-    results.push_back(TimeKernel("sparse_sub_map_reference", reps, [&] {
-      const auto y = sub.ForwardMapReference(x, 1);
-      COOPER_CHECK(y.num_active() == x.num_active());
-    }));
-    nn::SparseConvScratch scratch;
-    { const auto warmup = sub.Forward(x, 1, &scratch); }  // build rulebook
-    results.push_back(TimeKernel("sparse_sub_rulebook_warm", reps, [&] {
-      const auto y = sub.Forward(x, 1, &scratch);
-      COOPER_CHECK(y.num_active() == x.num_active());
-    }));
-    results.push_back(TimeKernel("sparse_down_map_reference", reps, [&] {
-      const auto y = down.ForwardMapReference(x, 1);
-      COOPER_CHECK(y.num_active() > 0);
-    }));
-    { const auto warmup = down.Forward(x, 1, &scratch); }
-    results.push_back(TimeKernel("sparse_down_rulebook_warm", reps, [&] {
-      const auto y = down.Forward(x, 1, &scratch);
-      COOPER_CHECK(y.num_active() > 0);
-    }));
-    {
-      ScopedScalarMode scalar;
-      results.push_back(TimeKernel("sparse_sub_rulebook_scalar", reps, [&] {
-        const auto y = sub.Forward(x, 1, &scratch);
-        COOPER_CHECK(y.num_active() == x.num_active());
-      }));
-    }
-    if (smoke) {
-      CheckSparseEqual(sub.ForwardMapReference(x, 1), sub.Forward(x, 1, &scratch),
-                       "sub rulebook vs map probe");
-      CheckSparseEqual(down.ForwardMapReference(x, 1),
-                       down.Forward(x, 1, &scratch),
-                       "down rulebook vs map probe");
-      CheckSparseEqual(sub.Forward(x, 5, &scratch), sub.Forward(x, 1, nullptr),
-                       "sub 5T scratch vs 1T fresh");
-      const auto simd_y = sub.Forward(x, 1, &scratch);
-      ScopedScalarMode scalar;
-      CheckSparseEqual(sub.Forward(x, 1, &scratch), simd_y,
-                       "sub scalar vs simd dispatch");
-    }
-  }
-
-  // --- RPN Conv2d row sweep + BEV flatten ---
-  {
-    Rng rng(kConv2dSeed);
-    const nn::Conv2d conv(16, 16, 3, 1, 1, rng);
-    nn::Tensor bev({16, 200, 176});
-    for (std::size_t i = 0; i < bev.size(); ++i) {
-      bev[i] = static_cast<float>(rng.Uniform(-1.0, 1.0));
-    }
-    std::printf("conv2d_rpn: 16x200x176 input, 3x3 16->16\n");
-    nn::Tensor out;
-    conv.ForwardInto(bev, 1, &out);  // prime out's storage
-    results.push_back(TimeKernel("conv2d_rpn_forward_into", reps, [&] {
-      conv.ForwardInto(bev, 1, &out);
-      COOPER_CHECK(out.size() > 0);
-    }));
-    {
-      ScopedScalarMode scalar;
-      nn::Tensor sout;
-      conv.ForwardInto(bev, 1, &sout);
-      results.push_back(TimeKernel("conv2d_rpn_forward_scalar", reps, [&] {
-        conv.ForwardInto(bev, 1, &sout);
-        COOPER_CHECK(sout.size() > 0);
-      }));
-      if (smoke) CheckTensorEqual(sout, out, "conv2d scalar vs simd dispatch");
-    }
-    if (smoke) {
-      CheckTensorEqual(conv.Forward(bev, 1), out, "conv2d into vs by-value");
-      nn::Tensor mt;
-      conv.ForwardInto(bev, 4, &mt);
-      CheckTensorEqual(out, mt, "conv2d 4T vs 1T");
-    }
-    Rng srng(kBevSeed);
-    const nn::SparseTensor field = MakeSparseField(16, 176, 200, 10, 0.1, srng);
-    nn::Tensor flat;
-    nn::SparseToBev(field, &flat);
-    results.push_back(TimeKernel("sparse_to_bev_reuse", reps, [&] {
-      nn::SparseToBev(field, &flat);
-      COOPER_CHECK(flat.size() > 0);
-    }));
-    if (smoke) {
-      CheckTensorEqual(nn::SparseToBev(field), flat,
-                       "sparse_to_bev out-param vs by-value");
-      ScopedScalarMode scalar;
-      CheckTensorEqual(nn::SparseToBev(field), flat,
-                       "sparse_to_bev scalar vs simd");
     }
   }
 
@@ -466,20 +324,15 @@ int main(int argc, char** argv) {
                common::simd::TierName(common::simd::DetectedTier()),
                common::simd::TierName(common::simd::ActiveTier()));
   std::fprintf(f,
-               "  \"seeds\": {\"voxelize\": %llu, \"sparse_conv\": %llu, "
-               "\"conv2d\": %llu, \"bev\": %llu, \"icp\": %llu, \"crc\": %llu, "
+               "  \"seeds\": {\"voxelize\": %llu, \"icp\": %llu, \"crc\": %llu, "
                "\"cluster_scan\": %llu},\n",
                static_cast<unsigned long long>(kVoxelizeSeed),
-               static_cast<unsigned long long>(kSparseConvSeed),
-               static_cast<unsigned long long>(kConv2dSeed),
-               static_cast<unsigned long long>(kBevSeed),
                static_cast<unsigned long long>(kIcpSeed),
                static_cast<unsigned long long>(kCrcSeed),
                static_cast<unsigned long long>(kClusterScanSeed));
   std::fprintf(f,
                "  \"config\": {\"voxelize_points\": 120000, "
-               "\"sparse_field\": [64, 64, 10], \"sparse_density\": 0.12, "
-               "\"bev_shape\": [16, 200, 176], \"icp_points\": 20000, "
+               "\"icp_points\": 20000, "
                "\"crc_bytes\": 1048576, \"cluster_scenario\": "
                "\"tj-scenario-2 ego + 4 cooperators, front-sector ROI\", "
                "\"cluster_points\": %zu, \"cluster_radius\": %.2f},\n",

@@ -5,8 +5,8 @@
 // bandwidth-tiered planner picks a level per cooperator from the DSRC
 // airtime budget.  The ego session then ingests the planned packages over
 // the real wire format and runs one fused detection pass: cloud-level
-// packages merge points, feature-level packages maxout-merge into the ego
-// VFE tensor (plus pseudo-points where only the cooperator saw structure).
+// packages merge points, feature-level packages are aligned into the ego
+// grid and merge as pseudo-points (one per site the cooperator saw).
 #include <cstdio>
 
 #include "core/cooper.h"

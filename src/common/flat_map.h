@@ -1,7 +1,7 @@
 // Open-addressing hash map for the numeric hot paths.
 //
 // `std::unordered_map` costs one heap node per entry and a pointer chase per
-// probe; the voxel/sparse-conv/cluster inner loops issue millions of lookups
+// probe; the voxel/feature/cluster inner loops issue millions of lookups
 // per frame, so they use this flat, cache-friendly alternative instead:
 //
 //   * linear probing over a power-of-two slot array (index = hash & mask);

@@ -1,6 +1,6 @@
 // common::simd — runtime-dispatch data-parallel kernel layer for the hot
-// loops (RPN Conv2d row sweeps, sparse-conv gather-GEMM, feature-codec
-// quantize/dequantize, ICP rigid transforms, frame CRC-32).
+// loops (feature-codec quantize/dequantize, feature-map align/max-pool, ICP
+// rigid transforms, frame CRC-32).
 //
 // Design rules (DESIGN.md §11):
 //  * One scalar reference implementation per kernel defines the semantics.
@@ -48,11 +48,8 @@ enum class Mode : int {
 struct Kernels {
   Tier tier;
 
-  /// y[i] = v for i in [0, n) — bias broadcast / buffer clear sweep.
-  void (*fill)(float* y, float v, std::size_t n);
-
   /// y[i] += a * x[i] for i in [0, n), mul-then-add per element (no FMA).
-  /// The Conv2d row sweep and the sparse-conv gather-GEMM inner loop.
+  /// The MatMul row sweep.
   /// One caveat: when y[i] and a*x[i] are BOTH NaN, the result's NaN
   /// payload is unspecified — IEEE addition is commutative except for NaN
   /// payload selection, and the compiler is free to swap the operands of
@@ -64,7 +61,7 @@ struct Kernels {
   /// `std::max(x[i], 0.0f)`.
   void (*relu)(float* x, std::size_t n);
 
-  /// dst[i] = (dst[i] < src[i]) ? src[i] : dst[i] — the maxout/max-pool
+  /// dst[i] = (dst[i] < src[i]) ? src[i] : dst[i] — the align/max-pool
   /// channel sweep.  Matches `std::max(dst, src)` bit-for-bit including
   /// NaN (keeps dst) and +/-0 (keeps dst).
   void (*max_into)(float* dst, const float* src, std::size_t n);

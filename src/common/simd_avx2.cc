@@ -12,20 +12,12 @@ namespace cooper::common::simd {
 namespace {
 
 using detail::DequantizeRowScalar;
-using detail::FillScalar;
 using detail::MaxIntoScalar;
 using detail::QuantizeRowScalar;
 using detail::RangeNonzeroFiniteScalar;
 using detail::ReluScalar;
 using detail::RigidTransformScalar;
 using detail::SaxpyScalar;
-
-void FillAvx2(float* y, float v, std::size_t n) {
-  const __m256 vv = _mm256_set1_ps(v);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) _mm256_storeu_ps(y + i, vv);
-  FillScalar(y + i, v, n - i);
-}
 
 void SaxpyAvx2(float* y, const float* x, float a, std::size_t n) {
   const __m256 av = _mm256_set1_ps(a);
@@ -249,7 +241,6 @@ void RigidTransformAvx2(const double rt[12], const double* in,
 
 const Kernels kAvx2Table = {
     Tier::kAvx2,
-    FillAvx2,
     SaxpyAvx2,
     ReluAvx2,
     MaxIntoAvx2,

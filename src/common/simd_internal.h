@@ -28,7 +28,6 @@ namespace detail {
 
 // Scalar reference bodies — the semantic definition of every kernel.
 // Vector tiers delegate their tails (n % lane_width) to these.
-void FillScalar(float* y, float v, std::size_t n);
 void SaxpyScalar(float* y, const float* x, float a, std::size_t n);
 void ReluScalar(float* x, std::size_t n);
 void MaxIntoScalar(float* dst, const float* src, std::size_t n);

@@ -12,20 +12,12 @@ namespace cooper::common::simd {
 namespace {
 
 using detail::DequantizeRowScalar;
-using detail::FillScalar;
 using detail::MaxIntoScalar;
 using detail::QuantizeRowScalar;
 using detail::RangeNonzeroFiniteScalar;
 using detail::ReluScalar;
 using detail::RigidTransformScalar;
 using detail::SaxpyScalar;
-
-void FillNeon(float* y, float v, std::size_t n) {
-  const float32x4_t vv = vdupq_n_f32(v);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) vst1q_f32(y + i, vv);
-  FillScalar(y + i, v, n - i);
-}
 
 void SaxpyNeon(float* y, const float* x, float a, std::size_t n) {
   const float32x4_t av = vdupq_n_f32(a);
@@ -230,7 +222,6 @@ void RigidTransformNeon(const double rt[12], const double* in,
 
 const Kernels kNeonTable = {
     Tier::kNeon,
-    FillNeon,
     SaxpyNeon,
     ReluNeon,
     MaxIntoNeon,

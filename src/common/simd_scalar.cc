@@ -10,10 +10,6 @@
 namespace cooper::common::simd {
 namespace detail {
 
-void FillScalar(float* y, float v, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) y[i] = v;
-}
-
 void SaxpyScalar(float* y, const float* x, float a, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) y[i] += a * x[i];
 }
@@ -159,7 +155,6 @@ std::uint32_t Crc32Slice8(const std::uint8_t* data, std::size_t size) {
 
 const Kernels kScalarTable = {
     Tier::kScalar,
-    detail::FillScalar,
     detail::SaxpyScalar,
     detail::ReluScalar,
     detail::MaxIntoScalar,

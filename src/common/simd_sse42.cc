@@ -10,20 +10,12 @@ namespace cooper::common::simd {
 namespace {
 
 using detail::DequantizeRowScalar;
-using detail::FillScalar;
 using detail::MaxIntoScalar;
 using detail::QuantizeRowScalar;
 using detail::RangeNonzeroFiniteScalar;
 using detail::ReluScalar;
 using detail::RigidTransformScalar;
 using detail::SaxpyScalar;
-
-void FillSse(float* y, float v, std::size_t n) {
-  const __m128 vv = _mm_set1_ps(v);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) _mm_storeu_ps(y + i, vv);
-  FillScalar(y + i, v, n - i);
-}
 
 void SaxpySse(float* y, const float* x, float a, std::size_t n) {
   const __m128 av = _mm_set1_ps(a);
@@ -232,7 +224,6 @@ void RigidTransformSse(const double rt[12], const double* in,
 
 const Kernels kSse42Table = {
     Tier::kSse42,
-    FillSse,
     SaxpySse,
     ReluSse,
     MaxIntoSse,

@@ -1,7 +1,7 @@
 // Fixed-size thread pool with a deterministic parallel-for.
 //
 // Every hot path in the pipeline (ray-casting, ICP correspondence search,
-// voxelisation, sparse convolution) parallelises through
+// voxelisation) parallelises through
 // `ParallelFor`, which splits [begin, end) into contiguous chunks of `grain`
 // elements.  The decomposition depends only on the range and the grain —
 // never on the thread count or on scheduling — so callers that merge

@@ -14,7 +14,6 @@ namespace {
 // overrides whatever the sub-configs carried.
 CooperConfig WithThreads(CooperConfig config) {
   config.detector.num_threads = config.num_threads;
-  config.detector.reuse_scratch = config.reuse_scratch;
   config.icp.num_threads = config.num_threads;
   return config;
 }
@@ -137,7 +136,7 @@ Result<CooperOutput> CooperPipeline::DetectCooperative(
   timer.Lap("reconstruct");
   if (config_.icp_refinement) {
     remote = RefineAlignment(std::move(remote), IcpTarget(local_cloud),
-                             config_.reuse_scratch ? &icp_scratch_ : nullptr);
+                             &icp_scratch_);
     timer.Lap("icp");
   }
   CooperOutput out;

@@ -49,12 +49,6 @@ struct CooperConfig {
   // detector and ICP configs, so it is the single switch callers tune.
   // Output is bit-identical for every value — see DESIGN.md.
   int num_threads = 1;
-  // Keep the detector's and ICP's working storage (rulebook cache, hash
-  // indices, feature maps, correspondence buffers) alive across calls so
-  // steady-state frames allocate near zero.  The constructor copies this
-  // into the detector config.  Detections are bit-identical either way; with
-  // reuse on, one pipeline instance must not detect concurrently.
-  bool reuse_scratch = true;
   // Master switch for the obs subsystem (metrics + tracing).  Constructing a
   // pipeline with this set flips the process-wide `obs::Enabled()` flag on;
   // it stays on (sticky) so overlapping pipelines cannot strobe it.  Off by
@@ -145,9 +139,9 @@ class CooperPipeline {
   CooperConfig config_;
   spod::SpodDetector detector_;
   pc::CloudCodec codec_;
-  // ICP gather working set, reused across DetectCooperative calls when
-  // `config_.reuse_scratch` (the detector keeps its own scratch).  Mutable:
-  // detection stays const for callers.
+  // ICP gather working set, reused across DetectCooperative calls (the
+  // detector keeps its own scratch).  Mutable: detection stays const for
+  // callers, but one pipeline instance must not detect concurrently.
   mutable pc::IcpScratch icp_scratch_;
 };
 

@@ -232,8 +232,7 @@ CooperOutput CooperativeSession::DetectCooperative(
     const ExchangePackage* package = nullptr;
     ReconEntry* entry = nullptr;  // null when the cache is off
     bool hit = false;
-    pc::PointCloud ego;        // miss result when the cache is off
-    feat::FeatureMap ego_map;  // ditto, feature-level packages
+    pc::PointCloud ego;  // miss result when the cache is off
     Status status = Status::Ok();
   };
   const bool use_cache = session_config_.cache_reconstructions;
@@ -273,16 +272,14 @@ CooperOutput CooperativeSession::DetectCooperative(
     const pc::PointCloud icp_target = pipeline_.IcpTarget(local_cloud);
     const feat::GridSpec ego_grid =
         feat::GridSpec::FromVoxelConfig(pipeline_.config().detector.voxel);
-    const bool pool_scratch = pipeline_.config().reuse_scratch;
-    if (pool_scratch) icp_scratch_pool_.EnsureLanes(misses.size());
+    icp_scratch_pool_.EnsureLanes(misses.size());
     common::ParallelFor(
         pipeline_.config().num_threads, 0, misses.size(), 1,
         [&](std::size_t lo, std::size_t hi) {
           for (std::size_t j = lo; j < hi; ++j) {
             obs::Span lane_span("session.reconstruct_peer", "core");
             Lane& lane = lanes[misses[j]];
-            pc::IcpScratch* scratch =
-                pool_scratch ? &icp_scratch_pool_.Lane(j) : nullptr;
+            pc::IcpScratch* scratch = &icp_scratch_pool_.Lane(j);
             if (lane.package->level == feat::ExchangeLevel::kVoxelFeatures) {
               // Feature lane: decode (unless the cache already holds the
               // sender-frame map) and align into the ego grid.  Nav-only
@@ -313,12 +310,10 @@ CooperOutput CooperativeSession::DetectCooperative(
                                                      lane.package->nav),
                   ego_grid);
               if (lane.entry != nullptr) {
-                lane.entry->ego_map = std::move(aligned.map);
                 lane.entry->ego = std::move(aligned.pseudo);
                 lane.entry->ego_nav = local_nav;
                 lane.entry->has_ego = true;
               } else {
-                lane.ego_map = std::move(aligned.map);
                 lane.ego = std::move(aligned.pseudo);
               }
               continue;
@@ -366,7 +361,6 @@ CooperOutput CooperativeSession::DetectCooperative(
 
   CooperOutput out;
   out.fused_cloud = pipeline_.detector().Densify(local_cloud);
-  std::vector<const feat::FeatureMap*> fused_maps;
   for (const Lane& lane : lanes) {
     if (!lane.status.ok()) {
       // Corrupt payload: evict so this cooperator degrades to single-shot
@@ -381,18 +375,9 @@ CooperOutput CooperativeSession::DetectCooperative(
         lane.entry != nullptr ? lane.entry->ego : lane.ego;
     out.transmitter_points += remote.size();
     out.fused_cloud.Merge(remote);
-    if (lane.package->level == feat::ExchangeLevel::kVoxelFeatures) {
-      // Lanes walk in ascending sender order, so the map list — and the
-      // maxout below — inherit the determinism guarantee.
-      fused_maps.push_back(lane.entry != nullptr ? &lane.entry->ego_map
-                                                 : &lane.ego_map);
-    }
   }
   timer.Lap("merge");
-  out.fused = fused_maps.empty()
-                  ? pipeline_.detector().DetectPreprocessed(out.fused_cloud)
-                  : pipeline_.detector().DetectWithFeatures(out.fused_cloud,
-                                                            fused_maps);
+  out.fused = pipeline_.detector().DetectPreprocessed(out.fused_cloud);
   timer.Lap("detect");
   out.stages = timer;
   return out;

@@ -28,9 +28,8 @@
 // levels (raw/ROI) follow the path above.  Feature-level packages decode to
 // a feat::FeatureMap instead: the map is aligned into the ego detector grid
 // (nav-only Eq. 3 — ICP needs raw returns, which feature packages exist to
-// avoid shipping), its pseudo-points merge into the fused cloud, and the
-// aligned maps maxout into the detector's VFE tensor
-// (SpodDetector::DetectWithFeatures), again in ascending sender order.
+// avoid shipping), and its pseudo-points merge into the fused cloud in the
+// same ascending sender order.
 #pragma once
 
 #include <cstdint>
@@ -152,8 +151,8 @@ class CooperativeSession {
   // on the receiver nav it was aligned with, so a receiver pose change
   // re-aligns from `sender_frame` without decoding again.  Feature-level
   // packages use the same two-level scheme: `sender_map` is the decoded map
-  // (payload-keyed), `ego_map` the grid-aligned map and `ego` its
-  // pseudo-point cloud (both nav-keyed).
+  // (payload-keyed), `ego` the pseudo-point cloud of its grid-aligned sites
+  // (nav-keyed).
   struct ReconEntry {
     double timestamp_s = 0.0;  // package timestamp this entry was built from
     bool has_sender_frame = false;
@@ -163,10 +162,9 @@ class CooperativeSession {
     bool has_sender_map = false;
     feat::FeatureMap sender_map;  // decoded features, sender sensor frame
     bool has_ego = false;
-    NavMetadata ego_nav;  // receiver nav `ego`/`ego_map` were aligned under
+    NavMetadata ego_nav;  // receiver nav `ego` was aligned under
     pc::PointCloud ego;   // receiver frame; for feature-level packages the
                           // pseudo-points standing in for the unsent returns
-    feat::FeatureMap ego_map;  // ego-grid-aligned features (feature level)
   };
 
   // Pre-validated payload handed from ReceiveWire into the recon cache: a

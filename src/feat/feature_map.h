@@ -4,10 +4,11 @@
 // Cooper's DSRC feasibility analysis (§IV-G) makes the payload budget the
 // binding constraint as the cooperator count grows.  Below the paper's two
 // exchange rungs — raw clouds and ROI clouds — sits a third: the SPOD
-// pipeline's *voxel feature tensor*, tapped after VFE encoding but before
-// the detection head.  A feature map is an order of magnitude denser in
-// information per byte than the points it summarizes: one row of C floats
-// stands in for up to `max_points_per_voxel` returns.
+// pipeline's *voxel feature tensor*, tapped after VFE encoding (detection
+// itself clusters points, so the VFE runs only for this tap).  A feature map
+// is an order of magnitude denser in information per byte than the points it
+// summarizes: one row of C floats stands in for up to
+// `max_points_per_voxel` returns.
 //
 // A `FeatureMap` is that tap, made portable: the sparse VFE tensor plus the
 // voxel-grid metadata (origin, voxel size, extents) needed to re-express the
@@ -19,7 +20,7 @@
 #include <cstdint>
 
 #include "geom/vec3.h"
-#include "nn/sparse_conv.h"
+#include "nn/tensor.h"
 #include "pointcloud/voxel_grid.h"
 
 namespace cooper::feat {

@@ -120,68 +120,4 @@ FeatureMap MaxPool(const FeatureMap& map, int factor) {
   return out;
 }
 
-std::size_t MaxoutFuse(nn::SparseTensor* tensor,
-                       const std::vector<const FeatureMap*>& maps) {
-  obs::Span span("feat.maxout", "feat");
-  const std::size_t channels = tensor->channels();
-  std::size_t remote_sites = 0;
-  for (const FeatureMap* m : maps) {
-    if (m != nullptr && m->channels() == channels) remote_sites += m->num_active();
-  }
-  if (remote_sites == 0) return 0;
-
-  common::FlatMap<pc::VoxelCoord, std::uint32_t, pc::VoxelCoordHash> index;
-  index.Reserve(tensor->num_active() + remote_sites);
-  for (std::size_t i = 0; i < tensor->num_active(); ++i) {
-    index.TryEmplace(tensor->coords[i], static_cast<std::uint32_t>(i));
-  }
-
-  // Stage appended rows separately so the ego tensor reallocates once.
-  std::vector<pc::VoxelCoord> new_coords;
-  std::vector<float> new_features;
-  std::size_t fused = 0;
-  for (const FeatureMap* m : maps) {
-    if (m == nullptr) continue;
-    if (m->channels() != channels) {
-      COOPER_COUNT("feat.fuse_channel_mismatch");
-      continue;
-    }
-    ++fused;
-    const std::size_t base = tensor->num_active();
-    for (std::size_t i = 0; i < m->num_active(); ++i) {
-      const pc::VoxelCoord& c = m->tensor.coords[i];
-      auto [row, inserted] = index.TryEmplace(
-          c, static_cast<std::uint32_t>(base + new_coords.size()));
-      if (inserted) {
-        new_coords.push_back(c);
-        for (std::size_t ch = 0; ch < channels; ++ch) {
-          new_features.push_back(m->tensor.features.At(i, ch));
-        }
-      } else if (*row < base) {
-        common::simd::Active().max_into(&tensor->features.At(*row, 0),
-                                        m->tensor.features.data() + i * channels, channels);
-      } else {
-        common::simd::Active().max_into(
-            new_features.data() +
-                static_cast<std::size_t>(*row - base) * channels,
-            m->tensor.features.data() + i * channels, channels);
-      }
-    }
-  }
-  if (!new_coords.empty()) {
-    const std::size_t old = tensor->num_active();
-    nn::Tensor grown({old + new_coords.size(), channels});
-    std::copy(tensor->features.data(), tensor->features.data() + old * channels,
-              grown.data());
-    std::copy(new_features.begin(), new_features.end(),
-              grown.data() + old * channels);
-    tensor->features = std::move(grown);
-    tensor->coords.insert(tensor->coords.end(), new_coords.begin(),
-                          new_coords.end());
-  }
-  COOPER_COUNT_N("feat.maps_fused", fused);
-  COOPER_COUNT_N("feat.sites_appended", new_coords.size());
-  return fused;
-}
-
 }  // namespace cooper::feat

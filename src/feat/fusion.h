@@ -1,22 +1,17 @@
-// Spatial maxout fusion of cooperator feature maps (F-Cooper's voxel-level
-// fusion operator).
+// Alignment of cooperator feature maps into the ego grid (F-Cooper's
+// voxel-level exchange, receiver side).
 //
-// Feature maps arrive in the *sender's* sensor frame.  Fusion happens in two
-// stages:
-//
-//  1. `AlignToGrid` re-expresses a decoded map in the ego detector grid: each
-//     active site's metric center is pushed through the Eq. 3 nav transform
-//     (`ego_from_sender`) and re-quantized into the ego `GridSpec`.  Sites
-//     landing outside the ego grid are dropped; sites colliding on the same
-//     ego voxel maxout-merge on the spot.  Alignment also emits one
-//     *pseudo-point* per surviving site (the transformed site center) so the
-//     downstream pipeline gains active voxels — and clusterable evidence —
-//     where only the cooperator saw structure.
-//  2. `MaxoutFuse` element-wise maxes the aligned maps into the ego VFE
-//     tensor: overlapping voxels take the channel-wise max, remote-only
-//     voxels are appended.  Maps are applied in caller order; the session
-//     orders lanes by ascending sender id, so the fused tensor is a pure
-//     function of the inputs — bit-identical at any thread count.
+// Feature maps arrive in the *sender's* sensor frame.  `AlignToGrid`
+// re-expresses a decoded map in the ego detector grid: each active site's
+// metric center is pushed through the Eq. 3 nav transform
+// (`ego_from_sender`) and re-quantized into the ego `GridSpec`.  Sites
+// landing outside the ego grid are dropped; sites colliding on the same ego
+// voxel maxout-merge on the spot.  Alignment also emits one *pseudo-point*
+// per surviving site (the transformed site center); those pseudo-points are
+// what the receiver merges into its fused cloud, so the detector gains
+// clusterable evidence where only the cooperator saw structure.  The session
+// merges lanes in ascending sender id, so the fused cloud is a pure function
+// of the inputs — bit-identical at any thread count.
 //
 // ICP refinement is intentionally not applied at this level: refinement
 // needs the raw returns, which feature packages exist to avoid shipping.
@@ -28,7 +23,6 @@
 
 #include "feat/feature_map.h"
 #include "geom/pose.h"
-#include "nn/sparse_conv.h"
 #include "pointcloud/point_cloud.h"
 
 namespace cooper::feat {
@@ -61,13 +55,5 @@ AlignedFeatures AlignToGrid(const FeatureMap& map,
 /// map unchanged.  Deterministic: sites are visited in stored order and
 /// colliding fine sites merge into the first occurrence.
 FeatureMap MaxPool(const FeatureMap& map, int factor);
-
-/// Element-wise maxout of `maps` (already ego-aligned) into `tensor`.
-/// Overlapping sites take per-channel max; remote-only sites append in map
-/// order.  Maps whose channel count differs from the tensor's are skipped
-/// (counted via `feat.fuse_channel_mismatch`).  Returns the number of maps
-/// fused.
-std::size_t MaxoutFuse(nn::SparseTensor* tensor,
-                       const std::vector<const FeatureMap*>& maps);
 
 }  // namespace cooper::feat

@@ -1,10 +1,6 @@
 #include "nn/layers.h"
 
-#include <algorithm>
 #include <cmath>
-
-#include "common/simd.h"
-#include "common/thread_pool.h"
 
 namespace cooper::nn {
 namespace {
@@ -33,153 +29,6 @@ Tensor Linear::Forward(const Tensor& x) const {
       float acc = bias_[o];
       for (std::size_t k = 0; k < in; ++k) acc += x.At(i, k) * weight_.At(o, k);
       y.At(i, o) = acc;
-    }
-  }
-  return y;
-}
-
-Conv2d::Conv2d(std::size_t in_ch, std::size_t out_ch, std::size_t kernel,
-               std::size_t stride, std::size_t padding, Rng& rng)
-    : weight_({out_ch, in_ch, kernel, kernel}),
-      bias_({out_ch}),
-      kernel_(kernel),
-      stride_(stride),
-      padding_(padding) {
-  InitHe(weight_, in_ch * kernel * kernel, rng);
-}
-
-Tensor Conv2d::Forward(const Tensor& x, int num_threads) const {
-  Tensor y;
-  ForwardInto(x, num_threads, &y);
-  return y;
-}
-
-void Conv2d::ForwardInto(const Tensor& x, int num_threads, Tensor* out) const {
-  COOPER_CHECK(x.rank() == 3 && x.dim(0) == weight_.dim(1));
-  const std::size_t cin = x.dim(0), h = x.dim(1), w = x.dim(2);
-  const std::size_t cout = weight_.dim(0);
-  const std::size_t oh = (h + 2 * padding_ - kernel_) / stride_ + 1;
-  const std::size_t ow = (w + 2 * padding_ - kernel_) / stride_ + 1;
-  if (out->rank() != 3 || out->dim(0) != cout || out->dim(1) != oh ||
-      out->dim(2) != ow) {
-    *out = Tensor({cout, oh, ow});
-  }
-  Tensor& y = *out;
-  const float* xd = x.data();
-  const float* wd = weight_.data();
-  float* yd = y.data();
-  // Each flattened (oc, oy) output row is written by exactly one chunk.  The
-  // kx loop sweeps the whole output row against one scalar weight — a
-  // vectorisable saxpy over contiguous input — but every single output
-  // element still accumulates bias, then (ic, ky, kx) ascending, exactly the
-  // scalar per-pixel order, so results are bit-identical at any thread count
-  // (and to the pre-restructure implementation).
-  const common::simd::Kernels& k = common::simd::Active();
-  common::ParallelFor(num_threads, 0, cout * oh, 8, [&](std::size_t lo,
-                                                        std::size_t hi) {
-    for (std::size_t row = lo; row < hi; ++row) {
-      const std::size_t oc = row / oh;
-      const std::size_t oy = row % oh;
-      float* yrow = yd + row * ow;  // == (oc * oh + oy) * ow
-      k.fill(yrow, bias_[oc], ow);
-      for (std::size_t ic = 0; ic < cin; ++ic) {
-        const float* wch = wd + (oc * cin + ic) * kernel_ * kernel_;
-        for (std::size_t ky = 0; ky < kernel_; ++ky) {
-          const std::ptrdiff_t iy = static_cast<std::ptrdiff_t>(oy * stride_ + ky) -
-                                    static_cast<std::ptrdiff_t>(padding_);
-          if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(h)) continue;
-          const float* xrow = xd + (ic * h + static_cast<std::size_t>(iy)) * w;
-          for (std::size_t kx = 0; kx < kernel_; ++kx) {
-            const float wv = wch[ky * kernel_ + kx];
-            const std::ptrdiff_t off = static_cast<std::ptrdiff_t>(kx) -
-                                       static_cast<std::ptrdiff_t>(padding_);
-            // The ox values with in-bounds ix = ox*stride + off form one
-            // contiguous run [lo0, hi0); outside it this (ic, ky, kx) term
-            // contributes nothing, matching the scalar loop's bounds skip.
-            std::size_t lo0 = 0;
-            if (off < 0) {
-              lo0 = static_cast<std::size_t>(
-                  (-off + static_cast<std::ptrdiff_t>(stride_) - 1) /
-                  static_cast<std::ptrdiff_t>(stride_));
-            }
-            const std::ptrdiff_t last = static_cast<std::ptrdiff_t>(w) - 1 - off;
-            if (last < 0) continue;
-            const std::size_t hi0 =
-                std::min(ow, static_cast<std::size_t>(last) / stride_ + 1);
-            if (lo0 >= hi0) continue;
-            if (stride_ == 1) {
-              // Vectorized saxpy across independent output pixels; each
-              // element still sees mul-then-add with the same operands, so
-              // the result is bit-identical to the scalar sweep.
-              k.saxpy(yrow + lo0,
-                      xrow + (static_cast<std::ptrdiff_t>(lo0) + off), wv,
-                      hi0 - lo0);
-            } else {
-              for (std::size_t ox = lo0; ox < hi0; ++ox) {
-                yrow[ox] += xrow[static_cast<std::size_t>(
-                                static_cast<std::ptrdiff_t>(ox * stride_) +
-                                off)] *
-                            wv;
-              }
-            }
-          }
-        }
-      }
-    }
-  });
-}
-
-ConvTranspose2d::ConvTranspose2d(std::size_t in_ch, std::size_t out_ch,
-                                 std::size_t kernel, std::size_t stride, Rng& rng)
-    : weight_({in_ch, out_ch, kernel, kernel}),
-      bias_({out_ch}),
-      kernel_(kernel),
-      stride_(stride) {
-  InitHe(weight_, in_ch * kernel * kernel, rng);
-}
-
-Tensor ConvTranspose2d::Forward(const Tensor& x) const {
-  COOPER_CHECK(x.rank() == 3 && x.dim(0) == weight_.dim(0));
-  const std::size_t cin = x.dim(0), h = x.dim(1), w = x.dim(2);
-  const std::size_t cout = weight_.dim(1);
-  const std::size_t oh = (h - 1) * stride_ + kernel_;
-  const std::size_t ow = (w - 1) * stride_ + kernel_;
-  Tensor y({cout, oh, ow});
-  const common::simd::Kernels& k = common::simd::Active();
-  for (std::size_t oc = 0; oc < cout; ++oc) {
-    k.fill(y.data() + oc * oh * ow, bias_[oc], oh * ow);
-  }
-  for (std::size_t ic = 0; ic < cin; ++ic) {
-    for (std::size_t iy = 0; iy < h; ++iy) {
-      for (std::size_t ix = 0; ix < w; ++ix) {
-        const float v = x.At(ic, iy, ix);
-        if (v == 0.0f) continue;
-        for (std::size_t oc = 0; oc < cout; ++oc) {
-          for (std::size_t ky = 0; ky < kernel_; ++ky) {
-            // The kx sweep is contiguous in both the output row and the
-            // weight row: a saxpy with v * w[kx], same operand order.
-            k.saxpy(&y.At(oc, iy * stride_ + ky, ix * stride_),
-                    weight_.data() +
-                        ((ic * cout + oc) * kernel_ + ky) * kernel_,
-                    v, kernel_);
-          }
-        }
-      }
-    }
-  }
-  return y;
-}
-
-BatchNorm::BatchNorm(std::size_t channels)
-    : scale_(channels, 1.0f), shift_(channels, 0.0f) {}
-
-Tensor BatchNorm::Forward(const Tensor& x) const {
-  COOPER_CHECK(x.rank() >= 1 && x.dim(0) == scale_.size());
-  Tensor y = x;
-  const std::size_t per_channel = x.size() / x.dim(0);
-  for (std::size_t c = 0; c < x.dim(0); ++c) {
-    for (std::size_t i = 0; i < per_channel; ++i) {
-      y[c * per_channel + i] = scale_[c] * x[c * per_channel + i] + shift_[c];
     }
   }
   return y;

@@ -1,5 +1,4 @@
-// Dense layers for the SPOD head: fully-connected, 2D convolution over BEV
-// feature maps, and inference-mode batch norm.  Weights are deterministic
+// Dense layer for the VFE: fully-connected.  Weights are deterministic
 // (seeded He initialisation or handcrafted), see DESIGN.md §4.3.
 #pragma once
 
@@ -24,56 +23,6 @@ class Linear {
  private:
   Tensor weight_;  // (out x in)
   Tensor bias_;    // (out)
-};
-
-/// 2D convolution over (C x H x W) maps, stride/padding configurable.
-class Conv2d {
- public:
-  Conv2d(std::size_t in_ch, std::size_t out_ch, std::size_t kernel,
-         std::size_t stride, std::size_t padding, Rng& rng);
-
-  /// x: (Cin x H x W).  Output rows (oc, oy) are independent, so they are
-  /// computed in parallel over `num_threads` (<= 0: hardware concurrency,
-  /// 1: serial); every element is identical for every thread count.
-  Tensor Forward(const Tensor& x, int num_threads = 1) const;
-
-  /// Same computation into `y`, reusing its storage when the output shape
-  /// already matches — the RPN runs this layer every frame on a fixed-size
-  /// BEV map, so the caller-owned output avoids a per-frame allocation.
-  void ForwardInto(const Tensor& x, int num_threads, Tensor* y) const;
-
-  std::size_t out_channels() const { return weight_.dim(0); }
-
-  Tensor& weight() { return weight_; }
-
- private:
-  Tensor weight_;  // (Cout x Cin x K x K)
-  Tensor bias_;    // (Cout)
-  std::size_t kernel_, stride_, padding_;
-};
-
-/// Transposed 2D convolution (upsampling branch of the SSD-style RPN).
-class ConvTranspose2d {
- public:
-  ConvTranspose2d(std::size_t in_ch, std::size_t out_ch, std::size_t kernel,
-                  std::size_t stride, Rng& rng);
-
-  Tensor Forward(const Tensor& x) const;  // x: (Cin x H x W)
-
- private:
-  Tensor weight_;  // (Cin x Cout x K x K)
-  Tensor bias_;
-  std::size_t kernel_, stride_;
-};
-
-/// Inference-mode batch norm: y = scale * x + shift per channel (dim 0).
-class BatchNorm {
- public:
-  explicit BatchNorm(std::size_t channels);
-  Tensor Forward(const Tensor& x) const;  // x: (C x ...) any trailing dims
-
- private:
-  std::vector<float> scale_, shift_;
 };
 
 }  // namespace cooper::nn

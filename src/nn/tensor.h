@@ -1,15 +1,15 @@
 // Minimal dense tensor for the SPOD network stages.
 //
 // Row-major float storage with up to 4 dimensions — enough for the VFE
-// (N x C), the BEV feature maps (C x H x W) and conv weights
-// (Cout x Cin x Kh x Kw).  No autograd: the network runs inference with
-// fixed weights (see DESIGN.md §4.3).
+// (N x C) and its point-feature batches.  No autograd: the network runs
+// inference with fixed weights (see DESIGN.md §4.3).
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
 #include "common/status.h"
+#include "pointcloud/voxel_grid.h"
 
 namespace cooper::nn {
 
@@ -60,5 +60,18 @@ class Tensor {
 
 /// Matrix product: (m x k) * (k x n) -> (m x n). Both rank-2.
 Tensor MatMul(const Tensor& a, const Tensor& b);
+
+/// Sparse rank-3 feature field: a list of active voxel coordinates plus a
+/// dense (N x C) feature matrix, one row per active site.
+struct SparseTensor {
+  std::vector<pc::VoxelCoord> coords;
+  Tensor features;  // (N x C)
+  pc::VoxelCoord spatial_shape;  // grid extents (exclusive upper bound)
+
+  std::size_t num_active() const { return coords.size(); }
+  std::size_t channels() const {
+    return features.rank() == 2 ? features.dim(1) : 0;
+  }
+};
 
 }  // namespace cooper::nn

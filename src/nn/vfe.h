@@ -6,7 +6,7 @@
 
 #include "common/rng.h"
 #include "nn/layers.h"
-#include "nn/sparse_conv.h"
+#include "nn/tensor.h"
 #include "pointcloud/voxel_grid.h"
 
 namespace cooper::nn {

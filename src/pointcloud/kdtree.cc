@@ -83,30 +83,4 @@ std::optional<KdTree::Neighbor> KdTree::NearestWithin(
   return best;
 }
 
-void KdTree::RadiusImpl(std::int32_t node, const geom::Vec3& q, double r2,
-                        std::vector<std::uint32_t>* out) const {
-  if (node < 0) return;
-  const Node& n = nodes_[static_cast<std::size_t>(node)];
-  const geom::Vec3& p = points_[n.point];
-  if ((p - q).SquaredNorm() <= r2) out->push_back(n.point);
-  const double delta = AxisValue(q, n.axis) - AxisValue(p, n.axis);
-  const std::int32_t near = delta <= 0.0 ? n.left : n.right;
-  const std::int32_t far = delta <= 0.0 ? n.right : n.left;
-  RadiusImpl(near, q, r2, out);
-  if (delta * delta <= r2) RadiusImpl(far, q, r2, out);
-}
-
-void KdTree::RadiusSearch(const geom::Vec3& query, double radius,
-                          std::vector<std::uint32_t>* out) const {
-  out->clear();
-  if (root_ >= 0) RadiusImpl(root_, query, radius * radius, out);
-}
-
-std::vector<std::uint32_t> KdTree::RadiusSearch(const geom::Vec3& query,
-                                                double radius) const {
-  std::vector<std::uint32_t> out;
-  RadiusSearch(query, radius, &out);
-  return out;
-}
-
 }  // namespace cooper::pc

@@ -31,16 +31,6 @@ class KdTree {
   std::optional<Neighbor> NearestWithin(const geom::Vec3& query,
                                         double max_squared_distance) const;
 
-  /// Indices of all points within `radius` of `query` (inclusive), appended
-  /// into `out` after clearing it.  The output-parameter form lets hot
-  /// callers (clustering seeds) reuse one vector's capacity across queries.
-  void RadiusSearch(const geom::Vec3& query, double radius,
-                    std::vector<std::uint32_t>* out) const;
-
-  /// Convenience by-value form; delegates to the overload above.
-  std::vector<std::uint32_t> RadiusSearch(const geom::Vec3& query,
-                                          double radius) const;
-
   std::size_t size() const { return points_.size(); }
 
  private:
@@ -53,8 +43,6 @@ class KdTree {
 
   std::int32_t Build(std::uint32_t* begin, std::uint32_t* end, int depth);
   void NearestImpl(std::int32_t node, const geom::Vec3& q, Neighbor* best) const;
-  void RadiusImpl(std::int32_t node, const geom::Vec3& q, double r2,
-                  std::vector<std::uint32_t>* out) const;
 
   std::vector<geom::Vec3> points_;
   std::vector<Node> nodes_;

@@ -1,5 +1,5 @@
 // Voxelisation of point clouds — the grouping step feeding SPOD's voxel
-// feature extractor and the sparse convolution middle layers (Fig. 1).
+// feature extractor (Fig. 1) and its per-frame occupied-voxel count.
 #pragma once
 
 #include <cstdint>
@@ -19,7 +19,7 @@ struct VoxelCoord {
 };
 
 /// 64-bit mix of the three coordinates (SplitMix64-style finalisers over the
-/// packed words).  The sparse-conv, voxel-grid and clustering maps are
+/// packed words).  The voxel-grid, feature-map and clustering maps are
 /// power-of-two `common::FlatMap`s that index with the *low* hash bits, so
 /// every input bit must diffuse into them — the old FNV-style fold left
 /// neighbouring coordinates in neighbouring buckets and degraded linear

@@ -48,9 +48,7 @@ bool DiffCount(std::size_t step, const char* stage, const std::string& field,
 std::string CellName(const MatrixCell& cell) {
   std::string name = "t" + std::to_string(cell.num_threads);
   name += cell.cache_reconstructions ? ",cache" : ",nocache";
-  name += cell.reuse_scratch ? ",reuse" : ",noreuse";
   name += cell.observability ? ",obs" : ",noobs";
-  name += cell.rulebook_cache ? ",rulebook" : ",norulebook";
   name += "," + cell.simd;
   return name;
 }
@@ -60,27 +58,19 @@ std::vector<MatrixCell> FullMatrix(int many_threads) {
   for (const bool obs : {false, true}) {  // sticky flag: off-cells first
     for (const int threads : {1, many_threads}) {
       for (const bool cache : {true, false}) {
-        for (const bool reuse : {true, false}) {
-          for (const bool rulebook : {true, false}) {
-            cells.push_back(MatrixCell{threads, cache, reuse, obs, rulebook});
-          }
-        }
+        cells.push_back(MatrixCell{threads, cache, obs});
       }
     }
     if (obs) continue;
-    // Forced-scalar vs auto-dispatch: scalar cells at both thread counts,
-    // with the rulebook cache on and off (the knobs the vectorized sweeps
-    // interact with).  The baseline replays under auto dispatch, so any bit
-    // produced differently by a vector kernel diverges here.  Emitted before
-    // the obs=on block so every obs-off cell still precedes the sticky flip.
+    // Forced-scalar vs auto-dispatch: scalar cells at both thread counts.
+    // The baseline replays under auto dispatch, so any bit produced
+    // differently by a vector kernel diverges here.  Emitted before the
+    // obs=on block so every obs-off cell still precedes the sticky flip.
     for (const int threads : {1, many_threads}) {
-      for (const bool rulebook : {true, false}) {
-        MatrixCell scalar;
-        scalar.num_threads = threads;
-        scalar.rulebook_cache = rulebook;
-        scalar.simd = "scalar";
-        cells.push_back(scalar);
-      }
+      MatrixCell scalar;
+      scalar.num_threads = threads;
+      scalar.simd = "scalar";
+      cells.push_back(scalar);
     }
   }
   return cells;
@@ -95,12 +85,6 @@ std::vector<MatrixCell> SmokeMatrix(int many_threads) {
   MatrixCell nocache;
   nocache.cache_reconstructions = false;
   cells.push_back(nocache);
-  MatrixCell noreuse;
-  noreuse.reuse_scratch = false;
-  cells.push_back(noreuse);
-  MatrixCell norulebook;
-  norulebook.rulebook_cache = false;
-  cells.push_back(norulebook);
   MatrixCell obs;
   obs.observability = true;
   cells.push_back(obs);
@@ -207,9 +191,7 @@ ConformanceReport RunConformance(const Trace& trace,
     ReplayOverrides overrides;
     overrides.num_threads = cell.num_threads;
     overrides.cache_reconstructions = cell.cache_reconstructions;
-    overrides.reuse_scratch = cell.reuse_scratch;
     overrides.observability = cell.observability;
-    overrides.rulebook_cache = cell.rulebook_cache;
     overrides.simd = cell.simd;
     const ReplayResult replay = Replay(trace, overrides);
 

@@ -2,8 +2,8 @@
 //
 // The baseline replay runs the trace under its recorded configuration; every
 // matrix cell replays the identical byte stream with one or more knobs
-// flipped (thread count, reconstruction cache, scratch reuse, observability,
-// rulebook cache).  Cooper's reproducibility contract says none of those
+// flipped (thread count, reconstruction cache, observability, SIMD
+// dispatch).  Cooper's reproducibility contract says none of those
 // knobs may change a single output bit, so the runner compares cells to the
 // baseline per step, per stage, per detection, per field — and reports the
 // *first* diverging value with both float bit patterns, which pins the
@@ -23,9 +23,7 @@ namespace cooper::replay {
 struct MatrixCell {
   int num_threads = 1;
   bool cache_reconstructions = true;
-  bool reuse_scratch = true;
   bool observability = false;
-  bool rulebook_cache = true;
   // SIMD dispatch mode for the cell ("auto" forces nothing; "scalar" pins
   // the reference tier).  Forced-scalar cells diff against the auto-dispatch
   // baseline, so one diverging bit between vector and scalar kernels fails
@@ -33,19 +31,18 @@ struct MatrixCell {
   std::string simd = "auto";
 };
 
-/// Compact cell label: "t4,cache,noreuse,obs,rulebook,scalar".
+/// Compact cell label: "t4,cache,obs,scalar".
 std::string CellName(const MatrixCell& cell);
 
-/// Full cross product: {1, N} threads x cache x reuse x obs x rulebook
-/// (32 cells), plus forced-scalar cells at both thread counts with the
-/// rulebook cache on and off (36 total).  Observability-off cells come
-/// first: the obs flag is sticky process-wide, so once an obs cell has run,
-/// later cells execute with instrumentation live — harmless for outputs
-/// (that is the contract under test) but kept ordered for faithful
-/// off-cells while they last.
+/// Full cross product: {1, N} threads x cache x obs (8 cells), plus
+/// forced-scalar cells at both thread counts (10 total).  Observability-off
+/// cells come first: the obs flag is sticky process-wide, so once an obs
+/// cell has run, later cells execute with instrumentation live — harmless
+/// for outputs (that is the contract under test) but kept ordered for
+/// faithful off-cells while they last.
 std::vector<MatrixCell> FullMatrix(int many_threads = 4);
 
-/// One-factor-at-a-time matrix (7 cells): the recorded defaults plus one
+/// One-factor-at-a-time matrix (5 cells): the recorded defaults plus one
 /// cell per flipped knob, including a forced-scalar dispatch cell.  Cheap
 /// enough for sanitizer runs.
 std::vector<MatrixCell> SmokeMatrix(int many_threads = 4);

@@ -168,9 +168,9 @@ Result<std::vector<std::uint8_t>> RecordLossy4() {
 /// (kVoxelFeatures).  Whole packages are delivered out-of-band at the
 /// `ReceiveWire` boundary and recorded under the kFeaturePackage tag, so the
 /// golden pins the full feature path — codec decode, ego-grid alignment,
-/// pseudo-point merge and maxout fusion — under the step digests.  Two steps
-/// refresh both packages, exercising feature-level replacement and
-/// recon-cache invalidation.
+/// pseudo-point merge — under the step digests.  Two steps refresh both
+/// packages, exercising feature-level replacement and recon-cache
+/// invalidation.
 Result<std::vector<std::uint8_t>> RecordFeat2() {
   sim::Scenario scenario = sim::MakeTjScenario(2);
   COOPER_CHECK(scenario.viewpoints.size() >= 3);

@@ -14,7 +14,7 @@
 //   - "feat2"  — T&J-style parking lot, two cooperators exchanging
 //                kVoxelFeatures packages delivered whole at the ReceiveWire
 //                boundary (kFeaturePackage records): codec decode, ego-grid
-//                alignment, pseudo-points and maxout fusion under digest.
+//                alignment and pseudo-points under digest.
 //
 // Regenerate with `cooper_replay record <name> <out.trace>`; the bytes are
 // deterministic functions of the seeds below, so a regenerated file must be

@@ -119,10 +119,7 @@ core::CooperConfig MakeReplayCooperConfig(const TraceConfig& config,
   cfg.icp_refinement = config.icp_refinement;
   cfg.detector_weight_seed = config.detector_weight_seed;
   cfg.num_threads = overrides.num_threads.value_or(config.num_threads);
-  cfg.reuse_scratch = overrides.reuse_scratch.value_or(config.reuse_scratch);
   cfg.observability = overrides.observability.value_or(config.observability);
-  cfg.detector.rulebook_cache =
-      overrides.rulebook_cache.value_or(config.rulebook_cache);
   cfg.simd = overrides.simd.value_or("auto");
   return cfg;
 }

@@ -50,9 +50,7 @@ Result<Trace> ParseTrace(const std::vector<std::uint8_t>& bytes);
 struct ReplayOverrides {
   std::optional<int> num_threads;
   std::optional<bool> cache_reconstructions;
-  std::optional<bool> reuse_scratch;
   std::optional<bool> observability;
-  std::optional<bool> rulebook_cache;
   // SIMD dispatch ("auto" | "scalar" | "sse4.2" | "avx2" | "neon").  The
   // dispatch tier is deliberately NOT part of the recorded trace config —
   // tiers are bit-identical by contract, so a trace recorded on an AVX2

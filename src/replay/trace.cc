@@ -255,9 +255,9 @@ void TraceWriter::AppendConfig(const TraceConfig& c) {
   PutU8(p, c.icp_refinement ? 1 : 0);
   PutU64(p, c.detector_weight_seed);
   PutI32(p, c.num_threads);
-  PutU8(p, c.reuse_scratch ? 1 : 0);
+  PutU8(p, 1);  // retired scratch-reuse knob; always on
   PutU8(p, c.observability ? 1 : 0);
-  PutU8(p, c.rulebook_cache ? 1 : 0);
+  PutU8(p, 1);  // retired rulebook-cache knob; always on
   PutF64(p, c.faults.drop_prob);
   PutF64(p, c.faults.duplicate_prob);
   PutF64(p, c.faults.reorder_prob);
@@ -447,6 +447,8 @@ Result<TraceConfig> DecodeConfig(const std::vector<std::uint8_t>& payload) {
   std::vector<std::uint8_t> name;
   if (!r.GetBytes(name_len, &name)) return Truncated("config");
   c.name.assign(name.begin(), name.end());
+  // `reuse` and `rulebook` hold retired knobs: read to keep the layout,
+  // then discarded.
   std::uint8_t cache = 0, icp = 0, reuse = 0, obs = 0, rulebook = 0;
   if (!r.GetI32(&c.lidar.beams) || !r.GetF64(&c.lidar.fov_up_deg) ||
       !r.GetF64(&c.lidar.fov_down_deg) || !r.GetI32(&c.lidar.azimuth_steps) ||
@@ -471,9 +473,7 @@ Result<TraceConfig> DecodeConfig(const std::vector<std::uint8_t>& payload) {
   }
   c.cache_reconstructions = cache != 0;
   c.icp_refinement = icp != 0;
-  c.reuse_scratch = reuse != 0;
   c.observability = obs != 0;
-  c.rulebook_cache = rulebook != 0;
   return c;
 }
 

@@ -94,9 +94,7 @@ struct TraceConfig {
   bool icp_refinement = false;
   std::uint64_t detector_weight_seed = 42;
   std::int32_t num_threads = 1;
-  bool reuse_scratch = true;
   bool observability = false;
-  bool rulebook_cache = true;
   // Provenance: the seeds and fault profile the recording ran under.
   net::FaultProfile faults;
   std::uint64_t fault_seed = 0;

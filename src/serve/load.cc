@@ -240,7 +240,6 @@ LoadReport RunLoad(const LoadConfig& cfg, replay::TraceWriter* trace,
     tc.icp_refinement = pipe_cfg.icp_refinement;
     tc.detector_weight_seed = pipe_cfg.detector_weight_seed;
     tc.num_threads = cfg.serve.threads;
-    tc.reuse_scratch = pipe_cfg.reuse_scratch;
     tc.scan_seed = cfg.seed;
     trace->AppendConfig(tc);
   }

@@ -1,9 +1,9 @@
 // Cluster extraction and oriented-box fitting for SPOD's proposal stage.
 //
-// After the sparse middle layers, active voxels above the ground plane are
-// grouped into connected components in the BEV plane; each component's
-// source points are fitted with a minimum-area oriented rectangle (yaw
-// search), producing the box proposals the confidence model scores.
+// Points above the ground plane are grouped into connected components in
+// the BEV plane; each component's points are fitted with a minimum-area
+// oriented rectangle (yaw search), producing the box proposals the
+// confidence model scores.
 #pragma once
 
 #include <cstdint>

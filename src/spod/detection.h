@@ -68,21 +68,10 @@ struct SpodConfig {
   // Plausible car extents (after box fit) used to reject clutter.
   double min_length = 1.0, max_length = 6.5;
   double min_width = 0.6, max_width = 3.2;
-  // Threads for the parallel stages (voxelisation, sparse middle layers;
-  // <= 0: hardware concurrency, 1: serial).  Detections are
-  // bit-identical for every thread count — see DESIGN.md "Threading model".
+  // Threads for the parallel stage (voxelisation; <= 0: hardware
+  // concurrency, 1: serial).  Detections are bit-identical for every thread
+  // count — see DESIGN.md "Threading model".
   int num_threads = 1;
-  // Keep the detector's working storage (rulebook cache, hash indices,
-  // feature maps, candidate buffers) alive across Detect calls so
-  // steady-state frames allocate near zero.  Detections are bit-identical
-  // either way.  With reuse on, one detector instance must not run Detect
-  // concurrently from several threads; turn it off to restore that property.
-  bool reuse_scratch = true;
-  // Cache sparse-conv rulebooks across Detect calls (the LRU inside
-  // SparseConvScratch).  Off rebuilds every rulebook from the voxel geometry
-  // each call — slower, but detections are bit-identical either way, which is
-  // exactly what the replay conformance matrix checks.
-  bool rulebook_cache = true;
 };
 
 /// Default config for dense 64-beam input over a KITTI-style front range.

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/timer.h"
-#include "feat/fusion.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "spod/clustering.h"
@@ -97,14 +96,7 @@ SpodConfig MakeSparseSpodConfig() {
 
 SpodDetector::Net SpodDetector::MakeNet(std::uint64_t seed) {
   Rng rng(seed);
-  return Net{
-      nn::VoxelFeatureEncoder(8, rng),
-      nn::SparseConv3d(8, 8, 3, 1, nn::SparseConvMode::kSubmanifold, rng),
-      nn::SparseConv3d(8, 16, 3, 2, nn::SparseConvMode::kRegular, rng),
-      nn::SparseConv3d(16, 16, 3, 1, nn::SparseConvMode::kSubmanifold, rng),
-      nn::Conv2d(16, 16, 3, 2, 1, rng),
-      nn::Conv2d(16, 16, 3, 1, 1, rng),
-  };
+  return Net{nn::VoxelFeatureEncoder(8, rng)};
 }
 
 SpodDetector::SpodDetector(const SpodConfig& config,
@@ -133,16 +125,9 @@ SpodResult SpodDetector::Detect(const pc::PointCloud& input) const {
   return result;
 }
 
-SpodResult SpodDetector::DetectPreprocessed(const pc::PointCloud& input) const {
-  return DetectWithFeatures(input, {});
-}
-
 feat::FeatureMap SpodDetector::ExtractFeatureMap(
     const pc::PointCloud& input) const {
   obs::Span span("spod.extract_features", "spod");
-  PipelineScratch frame_scratch;
-  PipelineScratch& sc = config_.reuse_scratch ? scratch_ : frame_scratch;
-
   pc::PointCloud cloud = Densify(input);
   cloud.RemoveInvalid();
   const double ground_z = pc::EstimateGroundZ(cloud);
@@ -150,7 +135,7 @@ feat::FeatureMap SpodDetector::ExtractFeatureMap(
 
   pc::VoxelGridConfig voxel_cfg = config_.voxel;
   voxel_cfg.num_threads = config_.num_threads;
-  pc::VoxelGrid grid(above, voxel_cfg, &sc.voxel_grid);
+  pc::VoxelGrid grid(above, voxel_cfg, &scratch_.voxel_grid);
 
   feat::FeatureMap map;
   map.tensor = net_.vfe.Encode(above, grid);
@@ -160,19 +145,13 @@ feat::FeatureMap SpodDetector::ExtractFeatureMap(
   return map;
 }
 
-SpodResult SpodDetector::DetectWithFeatures(
-    const pc::PointCloud& input,
-    const std::vector<const feat::FeatureMap*>& maps) const {
+SpodResult SpodDetector::DetectPreprocessed(const pc::PointCloud& input) const {
   obs::Span span("spod.detect", "spod");
   SpodResult result;
   result.num_input_points = input.size();
   COOPER_COUNT_N("spod.input_points", input.size());
   common::StageTimer timer;
-
-  // Cross-frame working set: every consumer is bit-identical with or
-  // without its scratch, so the knob only changes allocation behaviour.
-  PipelineScratch frame_scratch;
-  PipelineScratch& sc = config_.reuse_scratch ? scratch_ : frame_scratch;
+  PipelineScratch& sc = scratch_;
 
   // --- Stage 1: preprocessing. ---
   pc::PointCloud cloud = input;
@@ -181,43 +160,14 @@ SpodResult SpodDetector::DetectWithFeatures(
   pc::PointCloud above = cloud.FilterMinZ(ground_z + config_.ground_margin);
   result.timings.preprocess_us = timer.Lap("preprocess");
 
-  // --- Stage 2: voxelisation + VFE. ---
+  // --- Stage 2: voxelisation (reports the occupied-voxel count). ---
   pc::VoxelGridConfig voxel_cfg = config_.voxel;
   voxel_cfg.num_threads = config_.num_threads;
-  pc::VoxelGrid grid(above, voxel_cfg, &sc.voxel_grid);
+  const pc::VoxelGrid grid(above, voxel_cfg, &sc.voxel_grid);
   result.num_voxels = grid.voxels().size();
   result.timings.voxelize_us = timer.Lap("voxelize");
 
-  nn::SparseTensor features = net_.vfe.Encode(above, grid);
-  // Cooperator feature maps (already ego-grid-aligned) maxout into the local
-  // tensor here — the F-Cooper fusion point: after VFE, before the middle
-  // layers, so the rest of the network sees one fused feature field.
-  if (!maps.empty()) feat::MaxoutFuse(&features, maps);
-  result.timings.vfe_us = timer.Lap("vfe");
-
-  // --- Stage 3: sparse convolutional middle layers. ---
-  // With the rulebook cache off every layer rebuilds its rulebook from the
-  // voxel geometry (same gather-GEMM path, no cross-frame state).
-  nn::SparseConvScratch* conv_sc =
-      config_.rulebook_cache ? &sc.sparse_conv : nullptr;
-  nn::SparseTensor mid =
-      net_.mid_sub1.Forward(features, config_.num_threads, conv_sc);
-  mid.features.Relu();
-  mid = net_.mid_down.Forward(mid, config_.num_threads, conv_sc);
-  mid.features.Relu();
-  mid = net_.mid_sub2.Forward(mid, config_.num_threads, conv_sc);
-  mid.features.Relu();
-  result.timings.middle_us = timer.Lap("middle");
-
-  // --- Stage 4: RPN over the BEV map. ---
-  nn::SparseToBev(mid, &sc.bev);
-  net_.rpn_conv1.ForwardInto(sc.bev, config_.num_threads, &sc.rpn1);
-  sc.rpn1.Relu();
-  net_.rpn_conv2.ForwardInto(sc.rpn1, config_.num_threads, &sc.rpn2);
-  sc.rpn2.Relu();
-  result.timings.rpn_us = timer.Lap("rpn");
-
-  // --- Stage 5: proposals, confidence, NMS. ---
+  // --- Stage 3: proposals, confidence, NMS. ---
   auto clusters = ClusterPoints(above, config_.cluster_merge_radius,
                                 config_.min_cluster_points, &sc.cluster);
   // Oversized clusters are usually several objects bridged by stray returns

@@ -1,14 +1,16 @@
 // SPOD — Sparse Point-cloud Object Detection (paper §III, Fig. 1).
 //
-// Stage structure mirrors the paper exactly:
+// Detection stages:
 //   1. preprocessing      — invalid-point removal, spherical-projection
 //                           densification for sparse input [27], ground cut;
-//   2. voxel feature      — voxelisation + VFE encoding [31];
-//   3. sparse middle      — submanifold + strided sparse 3D convs [15];
-//   4. RPN head           — SSD-style conv stack over the BEV map [16, 21];
-//   5. proposals + score  — BEV clustering, oriented-box fit and completion,
+//   2. voxelisation       — the occupied-voxel count reported per frame;
+//   3. proposals + score  — BEV clustering, oriented-box fit and completion,
 //                           evidence-calibrated confidence (DESIGN.md §4.3),
 //                           NMS and thresholding.
+// The paper's learned sparse-conv middle layers and RPN head are not
+// modelled: detections come from the clustered above-ground points.  The
+// VFE encoder [31] survives only as the sender-side feature tap
+// (ExtractFeatureMap) for feature-level exchange.
 //
 // The same detector instance works on dense 64-beam clouds, sparse 16-beam
 // clouds and fused multi-vehicle clouds — the property Cooper depends on.
@@ -19,8 +21,6 @@
 
 #include "common/rng.h"
 #include "feat/feature_map.h"
-#include "nn/layers.h"
-#include "nn/sparse_conv.h"
 #include "nn/vfe.h"
 #include "spod/confidence.h"
 #include "spod/detection.h"
@@ -34,14 +34,8 @@ namespace cooper::spod {
 struct StageTimings {
   double preprocess_us = 0.0;
   double voxelize_us = 0.0;
-  double vfe_us = 0.0;
-  double middle_us = 0.0;
-  double rpn_us = 0.0;
   double proposals_us = 0.0;
-  double TotalUs() const {
-    return preprocess_us + voxelize_us + vfe_us + middle_us + rpn_us +
-           proposals_us;
-  }
+  double TotalUs() const { return preprocess_us + voxelize_us + proposals_us; }
 };
 
 struct SpodResult {
@@ -70,22 +64,21 @@ class SpodDetector {
   /// remote points hidden behind local occluders.
   SpodResult DetectPreprocessed(const pc::PointCloud& cloud) const;
 
-  /// DetectPreprocessed with cooperator feature maps maxout-fused into the
-  /// VFE tensor before the middle layers run (F-Cooper voxel fusion).  The
-  /// maps must already be in this detector's grid coordinates (see
-  /// feat::AlignToGrid); with no maps this is exactly DetectPreprocessed.
-  /// Maps fuse in caller order — pass them sorted by ascending sender id for
-  /// the repo-wide determinism guarantee.
+  /// Exactly DetectPreprocessed(cloud); `maps` is ignored.  Cooperator
+  /// features reach detection only as feat::AlignToGrid pseudo-points merged
+  /// into `cloud`.  Kept only so the benchmark's receiver-path probe keeps
+  /// compiling until its next change moves it to DetectPreprocessed.
   SpodResult DetectWithFeatures(
       const pc::PointCloud& cloud,
-      const std::vector<const feat::FeatureMap*>& maps) const;
+      const std::vector<const feat::FeatureMap*>& /*maps*/) const {
+    return DetectPreprocessed(cloud);
+  }
 
   /// Sender-side feature tap: the VFE voxel-feature tensor of `cloud` (own
   /// sensor frame), with the grid geometry needed to re-express it elsewhere.
   /// Runs preprocessing (densify-if-configured, invalid-point removal,
-  /// ground cut) and voxelization exactly as Detect would, then stops after
-  /// VFE encoding — the tap point is after stage 2, before the detection
-  /// head.
+  /// ground cut) and voxelization exactly as Detect would, then VFE-encodes
+  /// the occupied voxels.
   feat::FeatureMap ExtractFeatureMap(const pc::PointCloud& cloud) const;
 
   /// The densification preprocessing step alone (no-op unless the config
@@ -99,20 +92,15 @@ class SpodDetector {
   // Network stages (fixed deterministic weights; see DESIGN.md §4.3).
   struct Net {
     nn::VoxelFeatureEncoder vfe;
-    nn::SparseConv3d mid_sub1;  // submanifold 8->8
-    nn::SparseConv3d mid_down;  // regular stride-2 8->16
-    nn::SparseConv3d mid_sub2;  // submanifold 16->16
-    nn::Conv2d rpn_conv1;       // BEV 16->16 stride 2
-    nn::Conv2d rpn_conv2;       // BEV 16->16
   };
   static Net MakeNet(std::uint64_t seed);
 
   SpodConfig config_;
   SensorResolution sensor_;
   Net net_;
-  // Cross-frame working set, reused when `config_.reuse_scratch` (cleared,
-  // not freed, between Detect calls).  Mutable: Detect stays const for
-  // callers; with reuse on, one instance must not Detect concurrently.
+  // Cross-frame working set (cleared, not freed, between Detect calls).
+  // Mutable: Detect stays const for callers, but one instance must not
+  // Detect concurrently.
   mutable PipelineScratch scratch_;
 };
 

@@ -355,46 +355,6 @@ TEST(FusionTest, TranslationShiftsSites) {
   EXPECT_EQ(aligned.map.tensor.coords[0], (pc::VoxelCoord{4, 8, 2}));
 }
 
-TEST(FusionTest, MaxoutFuseOverlapsAndAppends) {
-  FeatureMap ego = MakeMap({{1, 1, 0}, {2, 2, 0}}, {{1.0f, 4.0f}, {3.0f, 0.0f}});
-  const FeatureMap remote =
-      MakeMap({{1, 1, 0}, {5, 5, 1}}, {{2.0f, 3.0f}, {7.0f, 8.0f}});
-  const std::size_t fused = MaxoutFuse(&ego.tensor, {&remote});
-  EXPECT_EQ(fused, 1u);
-  ASSERT_EQ(ego.num_active(), 3u);
-  // Overlapping site (1,1,0): per-channel max.
-  EXPECT_EQ(ego.tensor.features.At(0, 0), 2.0f);
-  EXPECT_EQ(ego.tensor.features.At(0, 1), 4.0f);
-  // Untouched local site.
-  EXPECT_EQ(ego.tensor.features.At(1, 0), 3.0f);
-  // Remote-only site appended after the locals.
-  EXPECT_EQ(ego.tensor.coords[2], (pc::VoxelCoord{5, 5, 1}));
-  EXPECT_EQ(ego.tensor.features.At(2, 0), 7.0f);
-  EXPECT_EQ(ego.tensor.features.At(2, 1), 8.0f);
-}
-
-TEST(FusionTest, MaxoutFuseSkipsChannelMismatch) {
-  FeatureMap ego = MakeMap({{1, 1, 0}}, {{1.0f, 1.0f}});
-  const FeatureMap narrow = MakeMap({{1, 1, 0}}, {{9.0f}});
-  const FeatureMap wide = MakeMap({{1, 1, 0}}, {{2.0f, 2.0f}});
-  EXPECT_EQ(MaxoutFuse(&ego.tensor, {&narrow, &wide}), 1u);
-  EXPECT_EQ(ego.tensor.features.At(0, 0), 2.0f);  // mismatched map ignored
-}
-
-TEST(FusionTest, MaxoutFuseIsOrderInsensitiveForMax) {
-  // max is commutative, so permuting cooperator order changes site *values*
-  // nowhere; the session still fixes the order (ascending sender) so that
-  // appended-site ordering is deterministic too.
-  FeatureMap a = MakeMap({{1, 1, 0}}, {{1.0f}});
-  FeatureMap b = a;
-  const FeatureMap m1 = MakeMap({{1, 1, 0}, {2, 2, 0}}, {{5.0f}, {6.0f}});
-  const FeatureMap m2 = MakeMap({{1, 1, 0}, {3, 3, 0}}, {{4.0f}, {7.0f}});
-  MaxoutFuse(&a.tensor, {&m1, &m2});
-  MaxoutFuse(&b.tensor, {&m2, &m1});
-  EXPECT_EQ(a.tensor.features.At(0, 0), b.tensor.features.At(0, 0));
-  EXPECT_EQ(a.num_active(), b.num_active());
-}
-
 TEST(FusionTest, MaxPoolMergesBlockByChannelMax) {
   // All eight corners of the {0,0,0} 2x2x2 block plus one site in the next
   // block along x: pooling at factor 2 keeps two coarse sites.

@@ -2,6 +2,8 @@
 // checking the system-level invariants the paper's evaluation rests on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "eval/experiment.h"
 #include "eval/stats.h"
 #include "net/serialize.h"
@@ -142,10 +144,36 @@ TEST(IntegrationTest, PackagePayloadSurvivesWireRoundTrip) {
 
 TEST(IntegrationTest, DetectionTimeOverheadIsBounded) {
   // Fig. 9's qualitative claim: Cooper costs more than single shot, but far
-  // less than running the detector twice.
-  const auto& outcome = ParkingLotOutcome();
-  const double single_us = outcome.result_a.timings.TotalUs();
-  const double coop_us = outcome.result_coop.timings.TotalUs();
+  // less than running the detector twice.  Both sides are timed over the
+  // same stages: DetectCooperative densifies each source cloud before the
+  // merge, so the single shot is densified up front too and both go through
+  // DetectPreprocessed (preprocess, voxelize, proposals).  Best of five runs
+  // per side damps scheduler noise on these millisecond timings.
+  const auto sc = sim::MakeTjScenario(1);
+  const auto& va = sc.viewpoints[sc.cases[0].a];
+  const auto& vb = sc.viewpoints[sc.cases[0].b];
+  const geom::Vec3 mount{0, 0, sc.lidar.sensor_height};
+  const sim::LidarSimulator lidar(sc.lidar);
+  Rng rng(sc.seed);
+  const auto cloud_a = lidar.Scan(sc.scene, va.ToPose(), rng);
+  const auto cloud_b = lidar.Scan(sc.scene, vb.ToPose(), rng);
+  const core::NavMetadata nav_a{va.position, va.attitude, mount};
+  const core::NavMetadata nav_b{vb.position, vb.attitude, mount};
+  const core::CooperPipeline pipeline(eval::MakeCooperConfig(sc.lidar));
+  const auto package = pipeline.MakePackage(
+      2, 0.0, core::RoiCategory::kFullFrame, nav_b, cloud_b);
+  const pc::PointCloud dense_a = pipeline.detector().Densify(cloud_a);
+
+  double single_us = 0.0, coop_us = 0.0;
+  for (int rep = 0; rep < 5; ++rep) {
+    const double s =
+        pipeline.detector().DetectPreprocessed(dense_a).timings.TotalUs();
+    const auto coop = pipeline.DetectCooperative(cloud_a, nav_a, package);
+    ASSERT_TRUE(coop.ok());
+    const double c = coop->fused.timings.TotalUs();
+    single_us = rep == 0 ? s : std::min(single_us, s);
+    coop_us = rep == 0 ? c : std::min(coop_us, c);
+  }
   EXPECT_GT(coop_us, 0.8 * single_us);
   EXPECT_LT(coop_us, 4.0 * single_us);
 }

@@ -4,7 +4,6 @@
 
 #include "common/rng.h"
 #include "nn/layers.h"
-#include "nn/sparse_conv.h"
 #include "nn/tensor.h"
 #include "nn/vfe.h"
 
@@ -91,358 +90,6 @@ TEST(LinearTest, IdentityWeights) {
   const Tensor y = l.Forward(x);
   EXPECT_FLOAT_EQ(y.At(0, 0), 13.0f);
   EXPECT_FLOAT_EQ(y.At(0, 1), -6.0f);
-}
-
-TEST(Conv2dTest, IdentityKernelPreservesInput) {
-  Rng rng(2);
-  Conv2d conv(1, 1, 3, 1, 1, rng);
-  // Zero all weights, set centre tap to 1.
-  for (std::size_t i = 0; i < conv.weight().size(); ++i) conv.weight()[i] = 0;
-  conv.weight().At(0, 0, 1, 1) = 1.0f;
-  Tensor x({1, 5, 5});
-  for (std::size_t i = 0; i < x.size(); ++i) x[i] = static_cast<float>(i);
-  const Tensor y = conv.Forward(x);
-  ASSERT_EQ(y.dim(1), 5u);
-  ASSERT_EQ(y.dim(2), 5u);
-  for (std::size_t i = 0; i < y.size(); ++i) EXPECT_FLOAT_EQ(y[i], x[i]);
-}
-
-TEST(Conv2dTest, StrideHalvesResolution) {
-  Rng rng(3);
-  const Conv2d conv(2, 4, 3, 2, 1, rng);
-  Tensor x({2, 8, 8}, 1.0f);
-  const Tensor y = conv.Forward(x);
-  EXPECT_EQ(y.dim(0), 4u);
-  EXPECT_EQ(y.dim(1), 4u);
-  EXPECT_EQ(y.dim(2), 4u);
-}
-
-TEST(Conv2dTest, SumKernelCountsNeighbours) {
-  Rng rng(4);
-  Conv2d conv(1, 1, 3, 1, 1, rng);
-  for (std::size_t i = 0; i < conv.weight().size(); ++i) conv.weight()[i] = 1.0f;
-  Tensor x({1, 3, 3}, 1.0f);
-  const Tensor y = conv.Forward(x);
-  EXPECT_FLOAT_EQ(y.At(0, 1, 1), 9.0f);  // full 3x3 support
-  EXPECT_FLOAT_EQ(y.At(0, 0, 0), 4.0f);  // corner sees 2x2
-}
-
-TEST(Conv2dTest, ParallelForwardBitIdenticalToSerial) {
-  Rng rng(6);
-  const Conv2d conv(4, 8, 3, 1, 1, rng);
-  Tensor x({4, 16, 16});
-  Rng data_rng(7);
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    x[i] = static_cast<float>(data_rng.Uniform(-1.0, 1.0));
-  }
-  const Tensor serial = conv.Forward(x, 1);
-  for (const int threads : {2, 8}) {
-    const Tensor parallel = conv.Forward(x, threads);
-    ASSERT_EQ(parallel.size(), serial.size()) << threads;
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-      ASSERT_EQ(parallel[i], serial[i]) << "threads " << threads << " at " << i;
-    }
-  }
-}
-
-TEST(ConvTranspose2dTest, UpsamplesResolution) {
-  Rng rng(5);
-  const ConvTranspose2d up(3, 2, 2, 2, rng);
-  Tensor x({3, 4, 4}, 0.3f);
-  const Tensor y = up.Forward(x);
-  EXPECT_EQ(y.dim(0), 2u);
-  EXPECT_EQ(y.dim(1), 8u);
-  EXPECT_EQ(y.dim(2), 8u);
-}
-
-TEST(BatchNormTest, DefaultIsIdentity) {
-  const BatchNorm bn(4);
-  Tensor x({4, 3}, 2.5f);
-  const Tensor y = bn.Forward(x);
-  for (std::size_t i = 0; i < y.size(); ++i) EXPECT_FLOAT_EQ(y[i], 2.5f);
-}
-
-// --- Sparse conv ---
-
-SparseTensor MakeRandomSparse(std::size_t channels, int extent, double density,
-                              Rng& rng) {
-  SparseTensor s;
-  s.spatial_shape = {extent, extent, extent};
-  for (int z = 0; z < extent; ++z) {
-    for (int y = 0; y < extent; ++y) {
-      for (int x = 0; x < extent; ++x) {
-        if (rng.Uniform() < density) s.coords.push_back({x, y, z});
-      }
-    }
-  }
-  s.features = Tensor({s.coords.size(), channels});
-  for (std::size_t i = 0; i < s.features.size(); ++i) {
-    s.features[i] = static_cast<float>(rng.Normal());
-  }
-  return s;
-}
-
-TEST(SparseConvTest, SubmanifoldPreservesActiveSet) {
-  Rng rng(6);
-  const SparseTensor x = MakeRandomSparse(4, 8, 0.1, rng);
-  const SparseConv3d conv(4, 4, 3, 1, SparseConvMode::kSubmanifold, rng);
-  const SparseTensor y = conv.Forward(x);
-  ASSERT_EQ(y.coords.size(), x.coords.size());
-  for (std::size_t i = 0; i < x.coords.size(); ++i) {
-    EXPECT_EQ(y.coords[i], x.coords[i]);
-  }
-  EXPECT_EQ(y.spatial_shape, x.spatial_shape);
-}
-
-TEST(SparseConvTest, RegularDilatesActiveSet) {
-  Rng rng(7);
-  SparseTensor x;
-  x.spatial_shape = {8, 8, 8};
-  x.coords.push_back({4, 4, 4});
-  x.features = Tensor({1, 2}, 1.0f);
-  const SparseConv3d conv(2, 3, 3, 1, SparseConvMode::kRegular, rng);
-  const SparseTensor y = conv.Forward(x);
-  // A single input site activates up to 3^3 output sites (clipped to grid).
-  EXPECT_EQ(y.coords.size(), 27u);
-}
-
-// Property: the sparse path matches the dense reference at every active
-// output site, for both modes and several random fields.
-class SparseVsDenseTest
-    : public ::testing::TestWithParam<std::tuple<int, int>> {};
-
-TEST_P(SparseVsDenseTest, MatchesDenseReference) {
-  const int seed = std::get<0>(GetParam());
-  const bool submanifold = std::get<1>(GetParam()) == 0;
-  Rng rng(static_cast<std::uint64_t>(seed) * 101 + 3);
-  const SparseTensor x = MakeRandomSparse(3, 6, 0.15, rng);
-  if (x.coords.empty()) GTEST_SKIP();
-  const int stride = submanifold ? 1 : 2;
-  const SparseConv3d conv(3, 5, 3, stride,
-                          submanifold ? SparseConvMode::kSubmanifold
-                                      : SparseConvMode::kRegular,
-                          rng);
-  const SparseTensor y = conv.Forward(x);
-  const Tensor dense = conv.ForwardDenseReference(x);
-  // dense is (Cout x Z x (Y*X)) over the output grid; the sparse result
-  // already carries the output spatial shape.
-  const std::size_t ox = static_cast<std::size_t>(y.spatial_shape.x);
-  for (std::size_t i = 0; i < y.coords.size(); ++i) {
-    const auto& c = y.coords[i];
-    for (std::size_t ch = 0; ch < 5; ++ch) {
-      const float ref = dense.At(ch, static_cast<std::size_t>(c.z),
-                                 static_cast<std::size_t>(c.y) * ox +
-                                     static_cast<std::size_t>(c.x));
-      EXPECT_NEAR(y.features.At(i, ch), ref, 1e-4)
-          << "site (" << c.x << "," << c.y << "," << c.z << ") ch " << ch;
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Modes, SparseVsDenseTest,
-                         ::testing::Combine(::testing::Range(0, 8),
-                                            ::testing::Values(0, 1)));
-
-TEST(SparseConvTest, CostScalesWithOccupancyNotVolume) {
-  // An empty field is free regardless of the nominal grid volume.
-  Rng rng(8);
-  SparseTensor x;
-  x.spatial_shape = {1000, 1000, 100};
-  x.features = Tensor({0, 4});
-  const SparseConv3d conv(4, 4, 3, 1, SparseConvMode::kSubmanifold, rng);
-  const SparseTensor y = conv.Forward(x);
-  EXPECT_EQ(y.num_active(), 0u);
-}
-
-TEST(SparseConvTest, StrideTwoHalvesSpatialShape) {
-  Rng rng(9);
-  const SparseTensor x = MakeRandomSparse(2, 9, 0.2, rng);
-  const SparseConv3d conv(2, 2, 3, 2, SparseConvMode::kRegular, rng);
-  const SparseTensor y = conv.Forward(x);
-  EXPECT_EQ(y.spatial_shape.x, (9 - 3) / 2 + 1);
-  EXPECT_EQ(y.spatial_shape.y, 4);
-  EXPECT_EQ(y.spatial_shape.z, 4);
-}
-
-TEST(SparseToBevTest, SumsOverZ) {
-  SparseTensor s;
-  s.spatial_shape = {4, 4, 3};
-  s.coords = {{1, 2, 0}, {1, 2, 2}};  // same BEV cell, different z
-  s.features = Tensor({2, 1});
-  s.features.At(0, 0) = 1.5f;
-  s.features.At(1, 0) = 2.5f;
-  const Tensor bev = SparseToBev(s);
-  ASSERT_EQ(bev.dim(0), 1u);
-  ASSERT_EQ(bev.dim(1), 4u);  // y
-  ASSERT_EQ(bev.dim(2), 4u);  // x
-  EXPECT_FLOAT_EQ(bev.At(0, 2, 1), 4.0f);
-  EXPECT_FLOAT_EQ(bev.At(0, 0, 0), 0.0f);
-}
-
-// Property: the gather-GEMM rulebook path is bit-identical to the original
-// hash-probe implementation (kept as ForwardMapReference), for both modes,
-// both strides, any thread count, and with or without a warm scratch.
-class RulebookVsMapTest
-    : public ::testing::TestWithParam<std::tuple<int, int>> {};
-
-TEST_P(RulebookVsMapTest, ForwardBitIdenticalToMapReference) {
-  const int seed = std::get<0>(GetParam());
-  const bool submanifold = std::get<1>(GetParam()) == 0;
-  Rng rng(static_cast<std::uint64_t>(seed) * 733 + 19);
-  const SparseTensor x = MakeRandomSparse(4, 7, 0.2, rng);
-  if (x.coords.empty()) GTEST_SKIP();
-  const int stride = submanifold ? 1 : 2;
-  const SparseConv3d conv(4, 6, 3, stride,
-                          submanifold ? SparseConvMode::kSubmanifold
-                                      : SparseConvMode::kRegular,
-                          rng);
-  const SparseTensor ref = conv.ForwardMapReference(x, 1);
-  SparseConvScratch scratch;
-  for (const int threads : {1, 2, 5}) {
-    for (SparseConvScratch* sc : {static_cast<SparseConvScratch*>(nullptr),
-                                  &scratch}) {
-      const SparseTensor y = conv.Forward(x, threads, sc);
-      ASSERT_EQ(y.spatial_shape, ref.spatial_shape) << "threads " << threads;
-      ASSERT_EQ(y.coords.size(), ref.coords.size()) << "threads " << threads;
-      for (std::size_t i = 0; i < ref.coords.size(); ++i) {
-        ASSERT_EQ(y.coords[i], ref.coords[i]) << "threads " << threads;
-      }
-      ASSERT_EQ(y.features.size(), ref.features.size());
-      for (std::size_t i = 0; i < ref.features.size(); ++i) {
-        // Bit-exact, not approximate: same accumulation order by design.
-        ASSERT_EQ(y.features[i], ref.features[i])
-            << "threads " << threads << " scratch " << (sc != nullptr)
-            << " at " << i;
-      }
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(ModesAndSeeds, RulebookVsMapTest,
-                         ::testing::Combine(::testing::Range(0, 6),
-                                            ::testing::Values(0, 1)));
-
-TEST(SparseConvScratchTest, SecondFrameHitsRulebookCache) {
-  Rng rng(21);
-  const SparseTensor x = MakeRandomSparse(4, 8, 0.15, rng);
-  ASSERT_FALSE(x.coords.empty());
-  const SparseConv3d conv(4, 4, 3, 1, SparseConvMode::kSubmanifold, rng);
-  SparseConvScratch scratch;
-  const SparseTensor cold = conv.Forward(x, 1, &scratch);
-  EXPECT_EQ(scratch.cache_hits(), 0u);
-  EXPECT_EQ(scratch.cache_misses(), 1u);
-  const SparseTensor warm = conv.Forward(x, 1, &scratch);
-  EXPECT_EQ(scratch.cache_hits(), 1u);
-  EXPECT_EQ(scratch.cache_misses(), 1u);
-  ASSERT_EQ(warm.features.size(), cold.features.size());
-  for (std::size_t i = 0; i < cold.features.size(); ++i) {
-    ASSERT_EQ(warm.features[i], cold.features[i]) << i;
-  }
-  // A different active set must miss and still be computed correctly.
-  SparseTensor x2 = x;
-  x2.coords.back().x = (x2.coords.back().x + 1) % x.spatial_shape.x;
-  const SparseTensor y2 = conv.Forward(x2, 1, &scratch);
-  EXPECT_EQ(scratch.cache_misses(), 2u);
-  const SparseTensor ref2 = conv.ForwardMapReference(x2, 1);
-  ASSERT_EQ(y2.features.size(), ref2.features.size());
-  for (std::size_t i = 0; i < ref2.features.size(); ++i) {
-    ASSERT_EQ(y2.features[i], ref2.features[i]) << i;
-  }
-}
-
-// Scalar per-pixel Conv2d reference — the pre-restructure loop, kept here as
-// the oracle for the row-sweep implementation.  Bias is recovered exactly by
-// convolving a zero input (every output element is then bias[oc]).
-Tensor Conv2dScalarReference(const Conv2d& conv, const Tensor& w,
-                             const Tensor& x, std::size_t kernel,
-                             std::size_t stride, std::size_t padding) {
-  const std::size_t cin = x.dim(0), h = x.dim(1), width = x.dim(2);
-  const std::size_t cout = conv.out_channels();
-  const std::size_t oh = (h + 2 * padding - kernel) / stride + 1;
-  const std::size_t ow = (width + 2 * padding - kernel) / stride + 1;
-  const Tensor bias_map = conv.Forward(Tensor({cin, h, width}, 0.0f), 1);
-  Tensor y({cout, oh, ow});
-  for (std::size_t oc = 0; oc < cout; ++oc) {
-    for (std::size_t oy = 0; oy < oh; ++oy) {
-      for (std::size_t ox = 0; ox < ow; ++ox) {
-        float acc = bias_map.At(oc, 0, 0);
-        for (std::size_t ic = 0; ic < cin; ++ic) {
-          for (std::size_t ky = 0; ky < kernel; ++ky) {
-            const std::ptrdiff_t iy =
-                static_cast<std::ptrdiff_t>(oy * stride + ky) -
-                static_cast<std::ptrdiff_t>(padding);
-            if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(h)) continue;
-            for (std::size_t kx = 0; kx < kernel; ++kx) {
-              const std::ptrdiff_t ix =
-                  static_cast<std::ptrdiff_t>(ox * stride + kx) -
-                  static_cast<std::ptrdiff_t>(padding);
-              if (ix < 0 || ix >= static_cast<std::ptrdiff_t>(width)) continue;
-              acc += x.At(ic, static_cast<std::size_t>(iy),
-                          static_cast<std::size_t>(ix)) *
-                     w.At(oc, ic, ky, kx);
-            }
-          }
-        }
-        y.At(oc, oy, ox) = acc;
-      }
-    }
-  }
-  return y;
-}
-
-class Conv2dRowSweepTest
-    : public ::testing::TestWithParam<std::tuple<int, int>> {};
-
-TEST_P(Conv2dRowSweepTest, BitIdenticalToScalarReference) {
-  const std::size_t stride = static_cast<std::size_t>(std::get<0>(GetParam()));
-  const std::size_t padding = static_cast<std::size_t>(std::get<1>(GetParam()));
-  Rng rng(stride * 31 + padding * 7 + 5);
-  Conv2d conv(3, 4, 3, stride, padding, rng);
-  Tensor x({3, 11, 13});
-  Rng data_rng(99);
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    x[i] = static_cast<float>(data_rng.Uniform(-1.0, 1.0));
-  }
-  const Tensor ref =
-      Conv2dScalarReference(conv, conv.weight(), x, 3, stride, padding);
-  for (const int threads : {1, 2, 5}) {
-    Tensor y;
-    conv.ForwardInto(x, threads, &y);
-    ASSERT_EQ(y.size(), ref.size()) << "threads " << threads;
-    for (std::size_t i = 0; i < ref.size(); ++i) {
-      ASSERT_EQ(y[i], ref[i]) << "threads " << threads << " at " << i;
-    }
-    // Second pass reuses y's storage and must land on the same bits.
-    const float* before = y.data();
-    conv.ForwardInto(x, threads, &y);
-    EXPECT_EQ(y.data(), before) << "threads " << threads;
-    for (std::size_t i = 0; i < ref.size(); ++i) {
-      ASSERT_EQ(y[i], ref[i]) << "threads " << threads << " at " << i;
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(StridesAndPadding, Conv2dRowSweepTest,
-                         ::testing::Combine(::testing::Values(1, 2),
-                                            ::testing::Values(0, 1)));
-
-TEST(SparseToBevTest, OutParamMatchesByValueAndReusesStorage) {
-  Rng rng(23);
-  const SparseTensor s = MakeRandomSparse(3, 6, 0.25, rng);
-  ASSERT_FALSE(s.coords.empty());
-  const Tensor by_value = SparseToBev(s);
-  Tensor out;
-  SparseToBev(s, &out);
-  ASSERT_EQ(out.size(), by_value.size());
-  for (std::size_t i = 0; i < by_value.size(); ++i) {
-    ASSERT_EQ(out[i], by_value[i]) << i;
-  }
-  const float* before = out.data();
-  SparseToBev(s, &out);  // same shape: storage reused, result identical
-  EXPECT_EQ(out.data(), before);
-  for (std::size_t i = 0; i < by_value.size(); ++i) {
-    ASSERT_EQ(out[i], by_value[i]) << i;
-  }
 }
 
 // --- VFE ---

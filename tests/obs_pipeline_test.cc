@@ -49,6 +49,9 @@ FlowResult RunTwoVehicleFlow() {
   const sim::Scenario scenario = [] {
     sim::Scenario sc = sim::MakeTjScenario(2);
     sc.lidar.azimuth_steps = 900;
+    // Two ray-casting threads: the scans are the flow's fan-out stage, so
+    // they carry the ParallelFor attribution checked below.
+    sc.lidar.num_threads = 2;
     return sc;
   }();
   const CooperPipeline pipeline(config);  // flips obs on (observability=true)
@@ -169,8 +172,8 @@ TEST(ObsPipelineTest, TwoVehicleTraceIsValidAndNested) {
                "spod.detect in detect_cooperative");
 
   // ParallelFor attribution: parallel stages re-open the submitting span on
-  // participant lanes (category "parallel").  At hardware concurrency, the
-  // lidar scans and detector stages all fan out.
+  // participant lanes (category "parallel").  The two-thread lidar scans
+  // fan out.
   std::size_t parallel_events = 0;
   std::set<std::string> parallel_names;
   for (const auto& e : events->array) {

@@ -29,7 +29,6 @@ TEST(KdTreeTest, EmptyTree) {
   const KdTree tree((PointCloud()));
   EXPECT_EQ(tree.size(), 0u);
   EXPECT_FALSE(tree.Nearest({0, 0, 0}).has_value());
-  EXPECT_TRUE(tree.RadiusSearch({0, 0, 0}, 5.0).empty());
 }
 
 TEST(KdTreeTest, SinglePoint) {
@@ -82,42 +81,27 @@ TEST(KdTreeTest, NearestWithinBoundaryIsInclusive) {
   EXPECT_TRUE(tree.NearestWithin({3, 0, 0}, 0.0).has_value());
 }
 
-TEST(KdTreeTest, RadiusSearchMatchesBruteForce) {
-  Rng rng(13);
-  const PointCloud cloud = RandomCloud(400, rng);
-  const KdTree tree(cloud);
-  for (int trial = 0; trial < 50; ++trial) {
-    const geom::Vec3 q{rng.Uniform(-20, 20), rng.Uniform(-20, 20), 0};
-    const double r = rng.Uniform(0.5, 8.0);
-    std::size_t brute = 0;
-    for (const auto& p : cloud) brute += (p.position - q).SquaredNorm() <= r * r;
-    EXPECT_EQ(tree.RadiusSearch(q, r).size(), brute);
-  }
-}
-
-TEST(KdTreeTest, RadiusSearchOutParamMatchesByValue) {
-  Rng rng(17);
-  const PointCloud cloud = RandomCloud(300, rng);
-  const KdTree tree(cloud);
-  std::vector<std::uint32_t> out;
-  for (int trial = 0; trial < 50; ++trial) {
-    const geom::Vec3 q{rng.Uniform(-20, 20), rng.Uniform(-20, 20),
-                       rng.Uniform(-2, 2)};
-    const double r = rng.Uniform(0.5, 8.0);
-    const std::vector<std::uint32_t> by_value = tree.RadiusSearch(q, r);
-    tree.RadiusSearch(q, r, &out);  // must clear previous contents itself
-    ASSERT_EQ(out, by_value) << "trial " << trial;
-  }
-  // Stale contents from a hit-rich query must not leak into an empty result.
-  tree.RadiusSearch({1000, 1000, 1000}, 0.1, &out);
-  EXPECT_TRUE(out.empty());
-}
-
 TEST(KdTreeTest, DuplicatePointsHandled) {
+  // Ten coincident points plus one distinct point: the split planes must
+  // still partition correctly, so queries reach both the duplicate run and
+  // the lone point.
   PointCloud c;
   for (int i = 0; i < 10; ++i) c.Add({1, 1, 1}, 0.0f);
+  c.Add({5, 5, 5}, 0.0f);
   const KdTree tree(c);
-  EXPECT_EQ(tree.RadiusSearch({1, 1, 1}, 0.1).size(), 10u);
+  EXPECT_EQ(tree.size(), 11u);
+  const auto dup = tree.Nearest({1, 1, 1});
+  ASSERT_TRUE(dup.has_value());
+  EXPECT_LT(dup->index, 10u);
+  EXPECT_EQ(dup->squared_distance, 0.0);
+  const auto near_dup = tree.NearestWithin({1.1, 1, 1}, 0.02);
+  ASSERT_TRUE(near_dup.has_value());
+  EXPECT_LT(near_dup->index, 10u);
+  EXPECT_NEAR(near_dup->squared_distance, 0.01, 1e-12);
+  const auto lone = tree.Nearest({5, 5, 4.5});
+  ASSERT_TRUE(lone.has_value());
+  EXPECT_EQ(lone->index, 10u);
+  EXPECT_FALSE(tree.NearestWithin({3, 3, 3}, 1.0).has_value());
 }
 
 // --- ICP ---

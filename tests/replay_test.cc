@@ -49,7 +49,6 @@ TEST(TraceFormat, ConfigRoundTrip) {
   TraceConfig config = SmallConfig();
   config.max_cooperators = 3;
   config.cache_reconstructions = false;
-  config.rulebook_cache = false;
   config.num_threads = 4;
   config.faults.drop_prob = 0.25;
   config.fault_seed = 99;
@@ -68,8 +67,6 @@ TEST(TraceFormat, ConfigRoundTrip) {
   EXPECT_EQ(decoded->lidar.azimuth_steps, 128);
   EXPECT_EQ(decoded->max_cooperators, 3u);
   EXPECT_FALSE(decoded->cache_reconstructions);
-  EXPECT_FALSE(decoded->rulebook_cache);
-  EXPECT_TRUE(decoded->reuse_scratch);
   EXPECT_EQ(decoded->num_threads, 4);
   EXPECT_DOUBLE_EQ(decoded->faults.drop_prob, 0.25);
   EXPECT_EQ(decoded->fault_seed, 99u);
@@ -424,6 +421,50 @@ TEST_F(GoldenReplayTest, CommittedGoldenFilesMatchFreshRecordings) {
   }
 }
 
+TEST_F(GoldenReplayTest, RetiredKnobBytesAreIgnored) {
+  // The config record still carries the bytes of two retired knobs (scratch
+  // reuse and the rulebook cache).  Every committed golden holds 1 in both;
+  // a trace holding 0 must still parse and replay bit-identically.
+  const std::string path = std::string(COOPER_TEST_DATA_DIR) + "/" +
+                           GoldenCases().front().filename;
+  auto bytes = ReadTraceFile(path);
+  ASSERT_TRUE(bytes.ok()) << path << ": " << bytes.status().ToString();
+  auto original = ParseTrace(*bytes);
+  ASSERT_TRUE(original.ok()) << original.status().ToString();
+
+  TraceReader reader(*bytes);
+  ASSERT_TRUE(reader.ReadHeader().ok());
+  TraceWriter patched;
+  bool saw_config = false;
+  while (!reader.AtEnd()) {
+    auto record = reader.Next();
+    ASSERT_TRUE(record.ok()) << record.status().ToString();
+    if (record->tag == RecordTag::kConfig) {
+      // Payload tail: u8 reuse | u8 obs | u8 rulebook | 8 x f64 fault
+      // profile | u64 fault_seed | u64 scan_seed.
+      std::vector<std::uint8_t>& p = record->payload;
+      ASSERT_GT(p.size(), 83u);
+      const std::size_t rulebook = p.size() - 81, reuse = p.size() - 83;
+      ASSERT_EQ(p[reuse], 1u);
+      ASSERT_EQ(p[rulebook], 1u);
+      p[reuse] = 0;
+      p[rulebook] = 0;
+      saw_config = true;
+    }
+    patched.Append(record->tag, record->payload);
+  }
+  ASSERT_TRUE(saw_config);
+  ASSERT_NE(patched.bytes(), *bytes);
+
+  auto trace = ParseTrace(patched.bytes());
+  ASSERT_TRUE(trace.ok()) << trace.status().ToString();
+  const ReplayResult want = Replay(*original);
+  const ReplayResult got = Replay(*trace);
+  EXPECT_TRUE(got.matches_golden);
+  EXPECT_EQ(got.combined_digest, want.combined_digest);
+  EXPECT_FALSE(DiffReplays(want, got).has_value());
+}
+
 // --- Differential diff machinery ---
 
 TEST(DiffReplays, PinpointsFirstDivergingFloat) {
@@ -472,12 +513,12 @@ TEST(DiffReplays, EarlierStageWins) {
 }
 
 TEST(Matrix, ShapesAndNames) {
-  EXPECT_EQ(FullMatrix(4).size(), 36u);
-  EXPECT_EQ(SmokeMatrix(4).size(), 7u);
+  EXPECT_EQ(FullMatrix(4).size(), 10u);
+  EXPECT_EQ(SmokeMatrix(4).size(), 5u);
   MatrixCell cell;
   cell.num_threads = 4;
   cell.cache_reconstructions = false;
-  EXPECT_EQ(CellName(cell), "t4,nocache,reuse,noobs,rulebook,auto");
+  EXPECT_EQ(CellName(cell), "t4,nocache,noobs,auto");
   // Sticky observability: every obs=off cell must precede every obs=on one.
   bool seen_obs = false;
   for (const MatrixCell& c : FullMatrix(4)) {

@@ -132,22 +132,6 @@ TEST(SimdDispatch, NamesRoundTrip) {
   EXPECT_FALSE(CpuFeatureString().empty());
 }
 
-TEST(SimdSweep, FillMatchesScalarAtEveryTail) {
-  std::mt19937 rng(0x5eed0001);
-  for (const Kernels* k : CompiledTiers()) {
-    for (std::size_t n = 0; n <= kMaxSweep; ++n) {
-      for (const float v : {1.25f, -0.0f, std::numeric_limits<float>::quiet_NaN()}) {
-        std::vector<float> got(n + 1, 77.0f), want(n + 1, 77.0f);
-        Scalar().fill(want.data(), v, n);
-        k->fill(got.data(), v, n);
-        EXPECT_TRUE(BitEqual(got.data(), want.data(), n + 1))
-            << TierName(k->tier) << " fill n=" << n;
-      }
-    }
-    (void)rng;
-  }
-}
-
 TEST(SimdSweep, SaxpyMatchesScalarAtEveryTail) {
   // Special values go into x and y in separate sweeps, never both: when y
   // and a*x are BOTH NaN, the add's result payload depends on operand

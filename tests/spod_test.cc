@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "sim/lidar.h"
@@ -450,22 +452,30 @@ TEST(DetectorTest, DeterministicResults) {
 }
 
 TEST(DetectorTest, ScratchReuseIsBitIdentical) {
-  // Warm scratch (second and later frames on one instance), cold scratch
-  // (fresh instance per call) and scratch reuse disabled must all produce
-  // bit-identical detections, at one thread and several.
-  sim::Scene scene;
-  scene.AddObject(sim::ObjectClass::kCar, sim::MakeCarBox({12, 2, 0}, 30.0), 0.6);
-  scene.AddObject(sim::ObjectClass::kCar, sim::MakeCarBox({16, -5, 0}, 75.0), 0.6);
-  const pc::PointCloud cloud = ScanScene(scene, 64);
-  const auto base = DenseDetector().Detect(cloud);
-  ASSERT_FALSE(base.detections.empty());
+  // One detector reused across different clouds (its scratch carries state
+  // sized by earlier frames) must give exactly the detections of a fresh
+  // detector per call, at one thread and several.
+  sim::Scene two_cars;
+  two_cars.AddObject(sim::ObjectClass::kCar, sim::MakeCarBox({12, 2, 0}, 30.0), 0.6);
+  two_cars.AddObject(sim::ObjectClass::kCar, sim::MakeCarBox({16, -5, 0}, 75.0), 0.6);
+  sim::Scene three_cars;
+  three_cars.AddObject(sim::ObjectClass::kCar, sim::MakeCarBox({9, -2, 0}, 0.0), 0.6);
+  three_cars.AddObject(sim::ObjectClass::kCar, sim::MakeCarBox({20, 6, 0}, 45.0), 0.6);
+  three_cars.AddObject(sim::ObjectClass::kCar, sim::MakeCarBox({25, -8, 0}, 120.0), 0.6);
+  const std::vector<pc::PointCloud> clouds = {
+      ScanScene(two_cars, 64), ScanScene(three_cars, 64), pc::PointCloud(),
+      ScanScene(three_cars, 64), ScanScene(two_cars, 64)};
+  ASSERT_FALSE(DenseDetector().Detect(clouds[0]).detections.empty());
 
-  auto expect_same = [&](const SpodResult& r, const char* what) {
-    ASSERT_EQ(r.detections.size(), base.detections.size()) << what;
-    for (std::size_t i = 0; i < base.detections.size(); ++i) {
-      const auto& a = base.detections[i];
-      const auto& b = r.detections[i];
+  auto expect_same = [](const SpodResult& want, const SpodResult& got,
+                        const std::string& what) {
+    EXPECT_EQ(got.num_voxels, want.num_voxels) << what;
+    ASSERT_EQ(got.detections.size(), want.detections.size()) << what;
+    for (std::size_t i = 0; i < want.detections.size(); ++i) {
+      const auto& a = want.detections[i];
+      const auto& b = got.detections[i];
       EXPECT_EQ(a.score, b.score) << what << " det " << i;
+      EXPECT_EQ(a.cls, b.cls) << what << " det " << i;
       EXPECT_EQ(a.num_points, b.num_points) << what << " det " << i;
       EXPECT_EQ(a.box.center.x, b.box.center.x) << what << " det " << i;
       EXPECT_EQ(a.box.center.y, b.box.center.y) << what << " det " << i;
@@ -477,21 +487,18 @@ TEST(DetectorTest, ScratchReuseIsBitIdentical) {
     }
   };
 
-  const SpodDetector warm = DenseDetector();
-  expect_same(warm.Detect(cloud), "warm frame 1");
-  expect_same(warm.Detect(cloud), "warm frame 2");  // rulebook cache hit path
-  expect_same(warm.Detect(cloud), "warm frame 3");
-
-  SpodConfig no_reuse = MakeDenseSpodConfig();
-  no_reuse.reuse_scratch = false;
-  const SpodDetector cold(no_reuse, MakeSensorResolution(64, 2.0, -24.8, 720));
-  expect_same(cold.Detect(cloud), "reuse off");
-
-  SpodConfig threaded = MakeDenseSpodConfig();
-  threaded.num_threads = 4;
-  const SpodDetector par(threaded, MakeSensorResolution(64, 2.0, -24.8, 720));
-  expect_same(par.Detect(cloud), "4 threads frame 1");
-  expect_same(par.Detect(cloud), "4 threads frame 2");
+  for (const int threads : {1, 4}) {
+    SpodConfig config = MakeDenseSpodConfig();
+    config.num_threads = threads;
+    const SensorResolution sensor = MakeSensorResolution(64, 2.0, -24.8, 720);
+    const SpodDetector reused(config, sensor);
+    for (std::size_t f = 0; f < clouds.size(); ++f) {
+      const SpodResult fresh = SpodDetector(config, sensor).Detect(clouds[f]);
+      expect_same(fresh, reused.Detect(clouds[f]),
+                  "threads " + std::to_string(threads) + " frame " +
+                      std::to_string(f));
+    }
+  }
 }
 
 TEST(DetectorTest, TimingsArePopulated) {
@@ -499,10 +506,7 @@ TEST(DetectorTest, TimingsArePopulated) {
   scene.AddObject(sim::ObjectClass::kCar, sim::MakeCarBox({10, 0, 0}, 0.0), 0.6);
   const auto result = DenseDetector().Detect(ScanScene(scene, 64));
   EXPECT_GT(result.timings.voxelize_us, 0.0);
-  EXPECT_GT(result.timings.vfe_us, 0.0);
-  EXPECT_GT(result.timings.middle_us, 0.0);
-  EXPECT_GT(result.timings.rpn_us, 0.0);
-  EXPECT_GT(result.timings.TotalUs(), result.timings.rpn_us);
+  EXPECT_GT(result.timings.TotalUs(), result.timings.voxelize_us);
   EXPECT_GT(result.num_voxels, 0u);
 }
 

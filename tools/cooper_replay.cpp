@@ -6,8 +6,7 @@
 //                                             replay against the embedded
 //                                             golden digests, then run the
 //                                             differential config matrix
-//   cooper_replay diff <trace> [--threads=N] [--nocache] [--noreuse]
-//                              [--obs] [--norulebook]
+//   cooper_replay diff <trace> [--threads=N] [--nocache] [--obs]
 //                                             replay once with the given
 //                                             overrides and report the first
 //                                             diverging float vs baseline
@@ -34,7 +33,7 @@ int Usage() {
                "       cooper_replay verify <trace> [--matrix=full|smoke|none]"
                " [--threads=N]\n"
                "       cooper_replay diff <trace> [--threads=N] [--nocache]"
-               " [--noreuse] [--obs] [--norulebook]\n");
+               " [--obs]\n");
   return 1;
 }
 
@@ -89,10 +88,9 @@ int CmdInfo(const std::vector<std::string>& args) {
   std::printf("session:          age<=%.2fs skew<=%.2fs cap=%u cache=%d\n",
               c.max_package_age_s, c.max_future_skew_s, c.max_cooperators,
               c.cache_reconstructions ? 1 : 0);
-  std::printf("pipeline:         threads=%d reuse=%d obs=%d rulebook=%d "
-              "icp=%d weight_seed=%llu\n",
-              c.num_threads, c.reuse_scratch ? 1 : 0, c.observability ? 1 : 0,
-              c.rulebook_cache ? 1 : 0, c.icp_refinement ? 1 : 0,
+  std::printf("pipeline:         threads=%d obs=%d icp=%d weight_seed=%llu\n",
+              c.num_threads, c.observability ? 1 : 0,
+              c.icp_refinement ? 1 : 0,
               static_cast<unsigned long long>(c.detector_weight_seed));
   std::printf("seeds:            scan=%llu fault=%llu\n",
               static_cast<unsigned long long>(c.scan_seed),
@@ -201,12 +199,8 @@ int CmdDiff(const std::vector<std::string>& args) {
       overrides.num_threads = threads;
     } else if (args[i] == "--nocache") {
       overrides.cache_reconstructions = false;
-    } else if (args[i] == "--noreuse") {
-      overrides.reuse_scratch = false;
     } else if (args[i] == "--obs") {
       overrides.observability = true;
-    } else if (args[i] == "--norulebook") {
-      overrides.rulebook_cache = false;
     } else {
       return Usage();
     }

@@ -1,6 +1,7 @@
 // Micro-benchmarks for the hot-path kernels this codebase optimises:
 // voxelisation with and without a reusable scratch, the ICP correspondence
-// gather, frame CRC-32 and BEV proposal clustering on a fused cloud.
+// gather, frame CRC-32, BEV proposal clustering and the oriented-box fit on
+// a fused cloud, and range-image densification of a 16-beam scan.
 //
 // Two modes:
 //   default       — timed run (best-of-reps), writes a JSON baseline to
@@ -26,6 +27,7 @@
 #include "net/crc32.h"
 #include "pointcloud/icp.h"
 #include "pointcloud/point_cloud.h"
+#include "pointcloud/spherical_projection.h"
 #include "pointcloud/voxel_grid.h"
 #include "sim/lidar.h"
 #include "sim/scenario.h"
@@ -108,9 +110,11 @@ void CheckClustersEqual(const std::vector<spod::Cluster>& a,
 
 // The cloud SPOD clusters on a T&J scenario-2 receiver: ego plus its 4
 // cooperators' front-sector packages fused by a CooperativeSession, cut at
-// the detector's ground margin.  Also returns the detector's config.
+// the detector's ground margin.  Also returns the detector's config and the
+// ego's own scan.
 pc::PointCloud MakeTjFusedAboveGround(std::uint64_t seed,
-                                      spod::SpodConfig* detector) {
+                                      spod::SpodConfig* detector,
+                                      pc::PointCloud* ego_scan) {
   const sim::Scenario scenario = sim::MakeTjScenario(2);
   const core::CooperConfig cfg = eval::MakeCooperConfig(scenario.lidar);
   const sim::LidarSimulator lidar(scenario.lidar);
@@ -136,6 +140,7 @@ pc::PointCloud MakeTjFusedAboveGround(std::uint64_t seed,
       session.DetectCooperative(scans[0], navs[0], 10.0).fused_cloud;
   fused.RemoveInvalid();
   *detector = cfg.detector;
+  *ego_scan = scans[0];
   return fused.FilterMinZ(pc::EstimateGroundZ(fused) +
                           cfg.detector.ground_margin);
 }
@@ -283,10 +288,12 @@ int main(int argc, char** argv) {
   // --- BEV proposal clustering on a fused multi-vehicle cloud ---
   std::size_t cluster_points = 0;
   double cluster_radius = 0.0;
+  std::size_t densify_points = 0;
   {
     spod::SpodConfig detector;
+    pc::PointCloud ego_scan;
     const pc::PointCloud above =
-        MakeTjFusedAboveGround(kClusterScanSeed, &detector);
+        MakeTjFusedAboveGround(kClusterScanSeed, &detector, &ego_scan);
     const std::size_t min_points = detector.min_cluster_points;
     cluster_radius = detector.cluster_merge_radius;
     cluster_points = above.size();
@@ -305,6 +312,48 @@ int main(int argc, char** argv) {
           spod::ClusterPointsAllPairs(above, cluster_radius, min_points),
           clusters, "cluster cells vs all pairs");
     }
+
+    // Oriented-box fit of every cluster (the 45-yaw search).
+    std::size_t cluster_total = 0;
+    for (const auto& c : clusters) cluster_total += c.points.size();
+    std::printf("fit_box_tj_fused: %zu clusters, %zu points\n", clusters.size(),
+                cluster_total);
+    std::vector<geom::Box3> boxes(clusters.size());
+    const auto fit_all = [&] {
+      for (std::size_t i = 0; i < clusters.size(); ++i) {
+        boxes[i] = spod::FitOrientedBox(clusters[i].points);
+      }
+    };
+    results.push_back(TimeKernel("fit_box_tj_fused", reps, fit_all));
+    const std::vector<geom::Box3> simd_boxes = boxes;
+    {
+      ScopedScalarMode scalar_mode;
+      results.push_back(TimeKernel("fit_box_tj_fused_scalar", reps, fit_all));
+    }
+    if (smoke) {
+      for (std::size_t i = 0; i < boxes.size(); ++i) {
+        const geom::Box3& a = boxes[i];
+        const geom::Box3& b = simd_boxes[i];
+        COOPER_CHECK(std::memcmp(&a.center, &b.center, sizeof a.center) == 0);
+        COOPER_CHECK(std::memcmp(&a.length, &b.length, sizeof a.length) == 0);
+        COOPER_CHECK(std::memcmp(&a.width, &b.width, sizeof a.width) == 0);
+        COOPER_CHECK(std::memcmp(&a.height, &b.height, sizeof a.height) == 0);
+        COOPER_CHECK(std::memcmp(&a.yaw, &b.yaw, sizeof a.yaw) == 0);
+      }
+      std::printf("  %-32s bit-identical: yes\n", "fit_box scalar vs simd");
+    }
+
+    // Range-image densification of the ego's 16-beam scan, as
+    // SpodDetector::Densify runs it: project, one pass, back-project.
+    densify_points = ego_scan.size();
+    std::printf("densify_tj_ego: %zu points, %dx%d image\n", ego_scan.size(),
+                detector.spherical.rows, detector.spherical.cols);
+    results.push_back(TimeKernel("densify_tj_ego", reps, [&] {
+      pc::RangeImage image(detector.spherical);
+      image.Project(ego_scan);
+      image.Densify(1);
+      COOPER_CHECK(!image.ToPointCloud().empty());
+    }));
   }
 
   // --- JSON baseline ---
@@ -335,8 +384,10 @@ int main(int argc, char** argv) {
                "\"icp_points\": 20000, "
                "\"crc_bytes\": 1048576, \"cluster_scenario\": "
                "\"tj-scenario-2 ego + 4 cooperators, front-sector ROI\", "
-               "\"cluster_points\": %zu, \"cluster_radius\": %.2f},\n",
-               cluster_points, cluster_radius);
+               "\"cluster_points\": %zu, \"cluster_radius\": %.2f, "
+               "\"densify_scenario\": \"tj-scenario-2 ego scan\", "
+               "\"densify_points\": %zu},\n",
+               cluster_points, cluster_radius, densify_points);
   std::fprintf(f, "  \"benchmarks\": [\n");
   for (std::size_t i = 0; i < results.size(); ++i) {
     const auto& r = results[i];

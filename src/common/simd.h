@@ -1,6 +1,6 @@
 // common::simd — runtime-dispatch data-parallel kernel layer for the hot
 // loops (feature-codec quantize/dequantize, feature-map align/max-pool, ICP
-// rigid transforms, frame CRC-32).
+// rigid transforms, the oriented-box yaw search, frame CRC-32).
 //
 // Design rules (DESIGN.md §11):
 //  * One scalar reference implementation per kernel defines the semantics.
@@ -47,15 +47,6 @@ enum class Mode : int {
 /// One tier's kernel table.  All pointers are non-null in a published table.
 struct Kernels {
   Tier tier;
-
-  /// y[i] += a * x[i] for i in [0, n), mul-then-add per element (no FMA).
-  /// The MatMul row sweep.
-  /// One caveat: when y[i] and a*x[i] are BOTH NaN, the result's NaN
-  /// payload is unspecified — IEEE addition is commutative except for NaN
-  /// payload selection, and the compiler is free to swap the operands of
-  /// either the scalar or the vector add.  Every other input (a single
-  /// NaN/inf on either side included) is bit-exact across tiers.
-  void (*saxpy)(float* y, const float* x, float a, std::size_t n);
 
   /// x[i] = (x[i] < 0) ? 0 : x[i] — preserves NaN and -0.0 exactly like
   /// `std::max(x[i], 0.0f)`.
@@ -109,6 +100,22 @@ struct Kernels {
   /// would reassociate the sum), kept in the table so dispatch tests and
   /// the forced-scalar conformance cells still exercise the call path.
   double (*sum_strided)(const double* x, std::size_t stride, std::size_t n);
+
+  /// Per-yaw rotated bounds of n xy points — the oriented-box fit's yaw
+  /// search.  For each yaw j in [0, k), with c = cos_yaw[j], s = sin_yaw[j]
+  /// and -s the sign-flipped s, over the points in index order
+  ///   lx = c*x + s*y;   ly = (-s)*x + c*y;
+  ///   xmin = std::min(xmin, lx);  xmax = std::max(xmax, lx);
+  ///   ymin = std::min(ymin, ly);  ymax = std::max(ymax, ly);
+  /// from xmin = ymin = +inf and xmax = ymax = -inf.  Point i's x and y are
+  /// xy[i * stride] and xy[i * stride + 1].  `bounds` receives four rows of
+  /// k: xmin[0..k), xmax[0..k), ymin[0..k), ymax[0..k).  Vector tiers run
+  /// several yaws per pass (independent outputs); each yaw's reduction keeps
+  /// the scalar order and std::min/std::max's keep-the-accumulator choice on
+  /// ties, +/-0 and NaN, so every input is bit-exact across tiers.
+  void (*rotated_bounds)(const double* cos_yaw, const double* sin_yaw,
+                         std::size_t k, const double* xy, std::size_t stride,
+                         std::size_t n, double* bounds);
 
   /// CRC-32 (IEEE 802.3, reflected 0xedb88320).  Scalar tier: table-driven
   /// byte-at-a-time.  Vector tiers: slice-by-8 (same polynomial, identical

@@ -6,6 +6,8 @@
 // shorter than one vector delegate to the scalar bodies.
 #include <immintrin.h>
 
+#include <limits>
+
 #include "common/simd_internal.h"
 
 namespace cooper::common::simd {
@@ -17,18 +19,7 @@ using detail::QuantizeRowScalar;
 using detail::RangeNonzeroFiniteScalar;
 using detail::ReluScalar;
 using detail::RigidTransformScalar;
-using detail::SaxpyScalar;
-
-void SaxpyAvx2(float* y, const float* x, float a, std::size_t n) {
-  const __m256 av = _mm256_set1_ps(a);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 xv = _mm256_loadu_ps(x + i);
-    const __m256 yv = _mm256_loadu_ps(y + i);
-    _mm256_storeu_ps(y + i, _mm256_add_ps(yv, _mm256_mul_ps(av, xv)));
-  }
-  SaxpyScalar(y + i, x + i, a, n - i);
-}
+using detail::RotatedBoundsYawTail;
 
 void ReluAvx2(float* x, std::size_t n) {
   const __m256 zero = _mm256_setzero_ps();
@@ -237,11 +228,69 @@ void RigidTransformAvx2(const double rt[12], const double* in,
                        out + i * out_stride, out_stride);
 }
 
+// One pass over the points for kGroups groups of 4 yaws starting at `j`.
+// Several groups per pass give the min/max chains independent work to
+// overlap.  minpd(lx, acc) is (lx < acc) ? lx : acc and maxpd(lx, acc) is
+// (lx > acc) ? lx : acc: exactly std::min(acc, lx) / std::max(acc, lx),
+// keeping the accumulator on ties, +/-0 and NaN.
+template <int kGroups>
+inline void RotatedBoundsPassAvx2(const double* cos_yaw, const double* sin_yaw,
+                                  std::size_t j, std::size_t k,
+                                  const double* xy, std::size_t stride,
+                                  std::size_t n, double* bounds) {
+  const __m256d sign = _mm256_set1_pd(-0.0);
+  const __m256d inf = _mm256_set1_pd(std::numeric_limits<double>::infinity());
+  const __m256d neg_inf = _mm256_xor_pd(inf, sign);
+  __m256d c[kGroups], s[kGroups], neg_s[kGroups];
+  __m256d xmin[kGroups], xmax[kGroups], ymin[kGroups], ymax[kGroups];
+  for (int g = 0; g < kGroups; ++g) {
+    c[g] = _mm256_loadu_pd(cos_yaw + j + 4 * g);
+    s[g] = _mm256_loadu_pd(sin_yaw + j + 4 * g);
+    neg_s[g] = _mm256_xor_pd(s[g], sign);  // -s as a sign flip, not 0 - s
+    xmin[g] = ymin[g] = inf;
+    xmax[g] = ymax[g] = neg_inf;
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    const __m256d x = _mm256_broadcast_sd(xy + i * stride);
+    const __m256d y = _mm256_broadcast_sd(xy + i * stride + 1);
+    for (int g = 0; g < kGroups; ++g) {
+      const __m256d lx =
+          _mm256_add_pd(_mm256_mul_pd(c[g], x), _mm256_mul_pd(s[g], y));
+      const __m256d ly =
+          _mm256_add_pd(_mm256_mul_pd(neg_s[g], x), _mm256_mul_pd(c[g], y));
+      xmin[g] = _mm256_min_pd(lx, xmin[g]);
+      xmax[g] = _mm256_max_pd(lx, xmax[g]);
+      ymin[g] = _mm256_min_pd(ly, ymin[g]);
+      ymax[g] = _mm256_max_pd(ly, ymax[g]);
+    }
+  }
+  for (int g = 0; g < kGroups; ++g) {
+    const std::size_t col = j + 4 * static_cast<std::size_t>(g);
+    _mm256_storeu_pd(bounds + col, xmin[g]);
+    _mm256_storeu_pd(bounds + k + col, xmax[g]);
+    _mm256_storeu_pd(bounds + 2 * k + col, ymin[g]);
+    _mm256_storeu_pd(bounds + 3 * k + col, ymax[g]);
+  }
+}
+
+void RotatedBoundsAvx2(const double* cos_yaw, const double* sin_yaw,
+                       std::size_t k, const double* xy, std::size_t stride,
+                       std::size_t n, double* bounds) {
+  std::size_t j = 0;
+  for (; j + 8 <= k; j += 8) {
+    RotatedBoundsPassAvx2<2>(cos_yaw, sin_yaw, j, k, xy, stride, n, bounds);
+  }
+  if (j + 4 <= k) {
+    RotatedBoundsPassAvx2<1>(cos_yaw, sin_yaw, j, k, xy, stride, n, bounds);
+    j += 4;
+  }
+  RotatedBoundsYawTail(cos_yaw, sin_yaw, j, k, xy, stride, n, bounds);
+}
+
 }  // namespace
 
 const Kernels kAvx2Table = {
     Tier::kAvx2,
-    SaxpyAvx2,
     ReluAvx2,
     MaxIntoAvx2,
     RangeNonzeroFiniteAvx2,
@@ -249,6 +298,7 @@ const Kernels kAvx2Table = {
     DequantizeRowAvx2,
     RigidTransformAvx2,
     detail::SumStridedScalar,  // order-pinned reduction: scalar in all tiers
+    RotatedBoundsAvx2,
     detail::Crc32Slice8,
 };
 

@@ -28,7 +28,6 @@ namespace detail {
 
 // Scalar reference bodies — the semantic definition of every kernel.
 // Vector tiers delegate their tails (n % lane_width) to these.
-void SaxpyScalar(float* y, const float* x, float a, std::size_t n);
 void ReluScalar(float* x, std::size_t n);
 void MaxIntoScalar(float* dst, const float* src, std::size_t n);
 void RangeNonzeroFiniteScalar(const float* row, std::size_t n, float* lo,
@@ -43,6 +42,15 @@ void RigidTransformScalar(const double rt[12], const double* in,
                           std::size_t in_stride, std::size_t n, double* out,
                           std::size_t out_stride);
 double SumStridedScalar(const double* x, std::size_t stride, std::size_t n);
+void RotatedBoundsScalar(const double* cos_yaw, const double* sin_yaw,
+                         std::size_t k, const double* xy, std::size_t stride,
+                         std::size_t n, double* bounds);
+
+/// The scalar rotated-bounds loop over yaws [first, k) only, writing the
+/// same four rows of k — vector tiers finish their yaw tails with it.
+void RotatedBoundsYawTail(const double* cos_yaw, const double* sin_yaw,
+                          std::size_t first, std::size_t k, const double* xy,
+                          std::size_t stride, std::size_t n, double* bounds);
 std::uint32_t Crc32Scalar(const std::uint8_t* data, std::size_t size);
 
 /// Slice-by-8 CRC-32 over the shared tables; used by every vector tier

@@ -6,6 +6,8 @@
 
 #include <arm_neon.h>
 
+#include <limits>
+
 #include "common/simd_internal.h"
 
 namespace cooper::common::simd {
@@ -17,18 +19,7 @@ using detail::QuantizeRowScalar;
 using detail::RangeNonzeroFiniteScalar;
 using detail::ReluScalar;
 using detail::RigidTransformScalar;
-using detail::SaxpyScalar;
-
-void SaxpyNeon(float* y, const float* x, float a, std::size_t n) {
-  const float32x4_t av = vdupq_n_f32(a);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const float32x4_t xv = vld1q_f32(x + i);
-    const float32x4_t yv = vld1q_f32(y + i);
-    vst1q_f32(y + i, vaddq_f32(yv, vmulq_f32(av, xv)));
-  }
-  SaxpyScalar(y + i, x + i, a, n - i);
-}
+using detail::RotatedBoundsYawTail;
 
 void ReluNeon(float* x, std::size_t n) {
   const float32x4_t zero = vdupq_n_f32(0.0f);
@@ -218,11 +209,68 @@ void RigidTransformNeon(const double rt[12], const double* in,
                        out + i * out_stride, out_stride);
 }
 
+// One pass over the points for kGroups groups of 2 yaws starting at `j`.
+// vminq_f64/vmaxq_f64 return NaN when either input is NaN, unlike
+// std::min/std::max, so the running bounds use compare + vbslq_f64:
+// (lx < acc) ? lx : acc and (lx > acc) ? lx : acc keep the accumulator on
+// ties, +/-0 and NaN exactly like std::min(acc, lx) / std::max(acc, lx).
+template <int kGroups>
+inline void RotatedBoundsPassNeon(const double* cos_yaw, const double* sin_yaw,
+                                  std::size_t j, std::size_t k,
+                                  const double* xy, std::size_t stride,
+                                  std::size_t n, double* bounds) {
+  const float64x2_t inf = vdupq_n_f64(std::numeric_limits<double>::infinity());
+  const float64x2_t neg_inf = vnegq_f64(inf);
+  float64x2_t c[kGroups], s[kGroups], neg_s[kGroups];
+  float64x2_t xmin[kGroups], xmax[kGroups], ymin[kGroups], ymax[kGroups];
+  for (int g = 0; g < kGroups; ++g) {
+    c[g] = vld1q_f64(cos_yaw + j + 2 * g);
+    s[g] = vld1q_f64(sin_yaw + j + 2 * g);
+    neg_s[g] = vnegq_f64(s[g]);  // FNEG flips the sign bit: -s, not 0 - s
+    xmin[g] = ymin[g] = inf;
+    xmax[g] = ymax[g] = neg_inf;
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    const float64x2_t x = vld1q_dup_f64(xy + i * stride);
+    const float64x2_t y = vld1q_dup_f64(xy + i * stride + 1);
+    for (int g = 0; g < kGroups; ++g) {
+      const float64x2_t lx =
+          vaddq_f64(vmulq_f64(c[g], x), vmulq_f64(s[g], y));
+      const float64x2_t ly =
+          vaddq_f64(vmulq_f64(neg_s[g], x), vmulq_f64(c[g], y));
+      xmin[g] = vbslq_f64(vcltq_f64(lx, xmin[g]), lx, xmin[g]);
+      xmax[g] = vbslq_f64(vcgtq_f64(lx, xmax[g]), lx, xmax[g]);
+      ymin[g] = vbslq_f64(vcltq_f64(ly, ymin[g]), ly, ymin[g]);
+      ymax[g] = vbslq_f64(vcgtq_f64(ly, ymax[g]), ly, ymax[g]);
+    }
+  }
+  for (int g = 0; g < kGroups; ++g) {
+    const std::size_t col = j + 2 * static_cast<std::size_t>(g);
+    vst1q_f64(bounds + col, xmin[g]);
+    vst1q_f64(bounds + k + col, xmax[g]);
+    vst1q_f64(bounds + 2 * k + col, ymin[g]);
+    vst1q_f64(bounds + 3 * k + col, ymax[g]);
+  }
+}
+
+void RotatedBoundsNeon(const double* cos_yaw, const double* sin_yaw,
+                       std::size_t k, const double* xy, std::size_t stride,
+                       std::size_t n, double* bounds) {
+  std::size_t j = 0;
+  for (; j + 4 <= k; j += 4) {
+    RotatedBoundsPassNeon<2>(cos_yaw, sin_yaw, j, k, xy, stride, n, bounds);
+  }
+  if (j + 2 <= k) {
+    RotatedBoundsPassNeon<1>(cos_yaw, sin_yaw, j, k, xy, stride, n, bounds);
+    j += 2;
+  }
+  RotatedBoundsYawTail(cos_yaw, sin_yaw, j, k, xy, stride, n, bounds);
+}
+
 }  // namespace
 
 const Kernels kNeonTable = {
     Tier::kNeon,
-    SaxpyNeon,
     ReluNeon,
     MaxIntoNeon,
     RangeNonzeroFiniteNeon,
@@ -230,6 +278,7 @@ const Kernels kNeonTable = {
     DequantizeRowNeon,
     RigidTransformNeon,
     detail::SumStridedScalar,  // order-pinned reduction: scalar in all tiers
+    RotatedBoundsNeon,
     detail::Crc32Slice8,
 };
 

@@ -4,15 +4,12 @@
 // tiers replicate exactly.
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/simd_internal.h"
 
 namespace cooper::common::simd {
 namespace detail {
-
-void SaxpyScalar(float* y, const float* x, float a, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) y[i] += a * x[i];
-}
 
 void ReluScalar(float* x, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) x[i] = (x[i] < 0.0f) ? 0.0f : x[i];
@@ -95,6 +92,35 @@ double SumStridedScalar(const double* x, std::size_t stride, std::size_t n) {
   return acc;
 }
 
+void RotatedBoundsYawTail(const double* cos_yaw, const double* sin_yaw,
+                          std::size_t first, std::size_t k, const double* xy,
+                          std::size_t stride, std::size_t n, double* bounds) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (std::size_t j = first; j < k; ++j) {
+    const double c = cos_yaw[j], s = sin_yaw[j], neg_s = -s;
+    double xmin = kInf, xmax = -kInf, ymin = kInf, ymax = -kInf;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double x = xy[i * stride], y = xy[i * stride + 1];
+      const double lx = c * x + s * y;
+      const double ly = neg_s * x + c * y;
+      xmin = std::min(xmin, lx);
+      xmax = std::max(xmax, lx);
+      ymin = std::min(ymin, ly);
+      ymax = std::max(ymax, ly);
+    }
+    bounds[j] = xmin;
+    bounds[k + j] = xmax;
+    bounds[2 * k + j] = ymin;
+    bounds[3 * k + j] = ymax;
+  }
+}
+
+void RotatedBoundsScalar(const double* cos_yaw, const double* sin_yaw,
+                         std::size_t k, const double* xy, std::size_t stride,
+                         std::size_t n, double* bounds) {
+  RotatedBoundsYawTail(cos_yaw, sin_yaw, 0, k, xy, stride, n, bounds);
+}
+
 const std::uint32_t (*CrcTables())[256] {
   static const auto* tables = [] {
     auto* t = new std::uint32_t[8][256];
@@ -155,7 +181,6 @@ std::uint32_t Crc32Slice8(const std::uint8_t* data, std::size_t size) {
 
 const Kernels kScalarTable = {
     Tier::kScalar,
-    detail::SaxpyScalar,
     detail::ReluScalar,
     detail::MaxIntoScalar,
     detail::RangeNonzeroFiniteScalar,
@@ -163,6 +188,7 @@ const Kernels kScalarTable = {
     detail::DequantizeRowScalar,
     detail::RigidTransformScalar,
     detail::SumStridedScalar,
+    detail::RotatedBoundsScalar,
     detail::Crc32Scalar,
 };
 

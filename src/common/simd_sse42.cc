@@ -4,6 +4,8 @@
 #include <nmmintrin.h>
 #include <smmintrin.h>
 
+#include <limits>
+
 #include "common/simd_internal.h"
 
 namespace cooper::common::simd {
@@ -15,18 +17,7 @@ using detail::QuantizeRowScalar;
 using detail::RangeNonzeroFiniteScalar;
 using detail::ReluScalar;
 using detail::RigidTransformScalar;
-using detail::SaxpyScalar;
-
-void SaxpySse(float* y, const float* x, float a, std::size_t n) {
-  const __m128 av = _mm_set1_ps(a);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m128 xv = _mm_loadu_ps(x + i);
-    const __m128 yv = _mm_loadu_ps(y + i);
-    _mm_storeu_ps(y + i, _mm_add_ps(yv, _mm_mul_ps(av, xv)));
-  }
-  SaxpyScalar(y + i, x + i, a, n - i);
-}
+using detail::RotatedBoundsYawTail;
 
 void ReluSse(float* x, std::size_t n) {
   const __m128 zero = _mm_setzero_ps();
@@ -220,11 +211,66 @@ void RigidTransformSse(const double rt[12], const double* in,
                        out + i * out_stride, out_stride);
 }
 
+// One pass over the points for kGroups groups of 2 yaws starting at `j`;
+// same operand-order rule as the AVX2 tier: minpd(lx, acc) / maxpd(lx, acc)
+// are std::min(acc, lx) / std::max(acc, lx) bit-for-bit.
+template <int kGroups>
+inline void RotatedBoundsPassSse(const double* cos_yaw, const double* sin_yaw,
+                                 std::size_t j, std::size_t k,
+                                 const double* xy, std::size_t stride,
+                                 std::size_t n, double* bounds) {
+  const __m128d sign = _mm_set1_pd(-0.0);
+  const __m128d inf = _mm_set1_pd(std::numeric_limits<double>::infinity());
+  const __m128d neg_inf = _mm_xor_pd(inf, sign);
+  __m128d c[kGroups], s[kGroups], neg_s[kGroups];
+  __m128d xmin[kGroups], xmax[kGroups], ymin[kGroups], ymax[kGroups];
+  for (int g = 0; g < kGroups; ++g) {
+    c[g] = _mm_loadu_pd(cos_yaw + j + 2 * g);
+    s[g] = _mm_loadu_pd(sin_yaw + j + 2 * g);
+    neg_s[g] = _mm_xor_pd(s[g], sign);  // -s as a sign flip, not 0 - s
+    xmin[g] = ymin[g] = inf;
+    xmax[g] = ymax[g] = neg_inf;
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    const __m128d x = _mm_load1_pd(xy + i * stride);
+    const __m128d y = _mm_load1_pd(xy + i * stride + 1);
+    for (int g = 0; g < kGroups; ++g) {
+      const __m128d lx = _mm_add_pd(_mm_mul_pd(c[g], x), _mm_mul_pd(s[g], y));
+      const __m128d ly =
+          _mm_add_pd(_mm_mul_pd(neg_s[g], x), _mm_mul_pd(c[g], y));
+      xmin[g] = _mm_min_pd(lx, xmin[g]);
+      xmax[g] = _mm_max_pd(lx, xmax[g]);
+      ymin[g] = _mm_min_pd(ly, ymin[g]);
+      ymax[g] = _mm_max_pd(ly, ymax[g]);
+    }
+  }
+  for (int g = 0; g < kGroups; ++g) {
+    const std::size_t col = j + 2 * static_cast<std::size_t>(g);
+    _mm_storeu_pd(bounds + col, xmin[g]);
+    _mm_storeu_pd(bounds + k + col, xmax[g]);
+    _mm_storeu_pd(bounds + 2 * k + col, ymin[g]);
+    _mm_storeu_pd(bounds + 3 * k + col, ymax[g]);
+  }
+}
+
+void RotatedBoundsSse(const double* cos_yaw, const double* sin_yaw,
+                      std::size_t k, const double* xy, std::size_t stride,
+                      std::size_t n, double* bounds) {
+  std::size_t j = 0;
+  for (; j + 4 <= k; j += 4) {
+    RotatedBoundsPassSse<2>(cos_yaw, sin_yaw, j, k, xy, stride, n, bounds);
+  }
+  if (j + 2 <= k) {
+    RotatedBoundsPassSse<1>(cos_yaw, sin_yaw, j, k, xy, stride, n, bounds);
+    j += 2;
+  }
+  RotatedBoundsYawTail(cos_yaw, sin_yaw, j, k, xy, stride, n, bounds);
+}
+
 }  // namespace
 
 const Kernels kSse42Table = {
     Tier::kSse42,
-    SaxpySse,
     ReluSse,
     MaxIntoSse,
     RangeNonzeroFiniteSse,
@@ -232,6 +278,7 @@ const Kernels kSse42Table = {
     DequantizeRowSse,
     RigidTransformSse,
     detail::SumStridedScalar,  // order-pinned reduction: scalar in all tiers
+    RotatedBoundsSse,
     detail::Crc32Slice8,
 };
 

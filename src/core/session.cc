@@ -1,5 +1,6 @@
 #include "core/session.h"
 
+#include <cmath>
 #include <utility>
 
 #include "common/thread_pool.h"
@@ -25,6 +26,20 @@ bool SameNav(const NavMetadata& a, const NavMetadata& b) {
          a.lidar_mount.x == b.lidar_mount.x &&
          a.lidar_mount.y == b.lidar_mount.y &&
          a.lidar_mount.z == b.lidar_mount.z;
+}
+
+bool AllFinite(const geom::Vec3& v) {
+  return std::isfinite(v.x) && std::isfinite(v.y) && std::isfinite(v.z);
+}
+
+// Every comparison with NaN is false, so a NaN timestamp passes both age
+// gates and never expires; non-finite nav would put NaN into Eq. 3.
+bool FiniteHeader(const ExchangePackage& package) {
+  const geom::EulerAngles& att = package.nav.imu_attitude;
+  return std::isfinite(package.timestamp_s) &&
+         AllFinite(package.nav.gps_position) && std::isfinite(att.yaw) &&
+         std::isfinite(att.pitch) && std::isfinite(att.roll) &&
+         AllFinite(package.nav.lidar_mount);
 }
 
 }  // namespace
@@ -58,6 +73,11 @@ void CooperativeSession::SeedRecon(std::uint32_t sender_id, double timestamp_s,
 Status CooperativeSession::ReceivePackageInternal(ExchangePackage package,
                                                   double now_s,
                                                   DecodedPayload* decoded) {
+  if (!FiniteHeader(package)) {
+    ++stats_.packages_rejected_invalid;
+    COOPER_COUNT("session.packages_rejected_invalid");
+    return InvalidArgumentError("non-finite timestamp, nav or mount");
+  }
   ExpireOld(now_s);
   const double age_s = now_s - package.timestamp_s;
   if (age_s < -session_config_.max_future_skew_s) {

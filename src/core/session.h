@@ -70,6 +70,8 @@ struct SessionStats {
   std::size_t packages_corrupt = 0;        // CRC/parse/decode failure
   std::size_t packages_rejected_level = 0; // intact package, unknown
                                            // exchange level (newer protocol)
+  std::size_t packages_rejected_invalid = 0;  // non-finite timestamp, nav
+                                              // or lidar mount
   std::size_t packages_incomplete = 0;     // reassembly timed out
   std::size_t frames_retransmitted = 0;    // late retransmits of a package
                                            // already delivered whole
@@ -86,7 +88,9 @@ class CooperativeSession {
 
   /// Accepts a package received at local time `now_s`.  Keeps only the
   /// newest package per sender; rejects regressions, stale-on-arrival
-  /// packages, and packages timestamped beyond the future-skew gate.  At
+  /// packages, and packages timestamped beyond the future-skew gate.  A
+  /// non-finite timestamp, GPS position, IMU attitude or lidar mount is
+  /// INVALID_ARGUMENT (counted in `packages_rejected_invalid`).  At
   /// the cooperator cap an incoming package that is fresher than the
   /// stalest held one evicts it (ties keep the incumbent); otherwise the
   /// newcomer is rejected.

@@ -1,8 +1,5 @@
 #include "nn/tensor.h"
 
-#include <algorithm>
-#include <numeric>
-
 #include "common/simd.h"
 
 namespace cooper::nn {
@@ -16,30 +13,6 @@ Tensor::Tensor(std::vector<std::size_t> shape, float fill) : shape_(std::move(sh
 void Tensor::Relu() {
   // simd relu replicates std::max(v, 0.0f) bit-for-bit (keeps NaN and -0.0).
   common::simd::Active().relu(data_.data(), data_.size());
-}
-
-float Tensor::MaxValue() const {
-  return data_.empty() ? 0.0f : *std::max_element(data_.begin(), data_.end());
-}
-
-float Tensor::Sum() const {
-  return std::accumulate(data_.begin(), data_.end(), 0.0f);
-}
-
-Tensor MatMul(const Tensor& a, const Tensor& b) {
-  COOPER_CHECK(a.rank() == 2 && b.rank() == 2);
-  COOPER_CHECK(a.dim(1) == b.dim(0));
-  const std::size_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
-  Tensor out({m, n});
-  const common::simd::Kernels& kr = common::simd::Active();
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t p = 0; p < k; ++p) {
-      const float av = a.At(i, p);
-      if (av == 0.0f) continue;
-      kr.saxpy(out.data() + i * n, b.data() + p * n, av, n);
-    }
-  }
-  return out;
 }
 
 }  // namespace cooper::nn

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 namespace cooper::pc {
 
@@ -54,10 +55,34 @@ double RangeImage::Fill() const {
   return pixels_.empty() ? 0.0 : static_cast<double>(n) / pixels_.size();
 }
 
+namespace {
+
+// Sorts up to four neighbours by range with the same element moves as the
+// insertion pass std::sort runs on ranges this short: an element smaller
+// than the first goes to the front, otherwise it walks back past strictly
+// larger ones.  Ties keep their up/down/left/right order.
+void SortByRange(const RangePixel** v, std::size_t n) {
+  for (std::size_t i = 1; i < n; ++i) {
+    const RangePixel* val = v[i];
+    std::size_t j = i;
+    if (val->range < v[0]->range) {
+      for (; j > 0; --j) v[j] = v[j - 1];
+    } else {
+      for (; val->range < v[j - 1]->range; --j) v[j] = v[j - 1];
+    }
+    v[j] = val;
+  }
+}
+
+}  // namespace
+
 void RangeImage::Densify(int max_passes) {
+  // Each pass reads only the image as it stood before the pass: the sweep
+  // collects its fills and applies them afterwards, so a pixel filled in
+  // this pass never supports a neighbour's fill in the same pass.
+  std::vector<std::pair<std::size_t, RangePixel>> fills;
   for (int pass = 0; pass < max_passes; ++pass) {
-    std::vector<RangePixel> next = pixels_;
-    bool changed = false;
+    fills.clear();
     for (int r = 0; r < rows(); ++r) {
       for (int c = 0; c < cols(); ++c) {
         if (At(r, c).valid) continue;
@@ -74,39 +99,39 @@ void RangeImage::Densify(int max_passes) {
         // the densification that lets SPOD treat 16-beam data like denser
         // input (paper §III-C, after SqueezeSeg [27]).
         if (up && down && std::abs(up->range - down->range) < 1.0f) {
-          RangePixel& px = next[Index(r, c)];
+          RangePixel px;
           px.valid = true;
           px.range = 0.5f * (up->range + down->range);
           px.x = 0.5f * (up->x + down->x);
           px.y = 0.5f * (up->y + down->y);
           px.z = 0.5f * (up->z + down->z);
           px.reflectance = 0.5f * (up->reflectance + down->reflectance);
-          changed = true;
+          fills.emplace_back(Index(r, c), px);
           continue;
         }
 
         // Hole filling: isolated dropouts with at least 3 valid neighbours
         // take the median-range neighbour.
-        std::vector<const RangePixel*> nbrs;
+        const RangePixel* nbrs[4];
+        std::size_t count = 0;
         for (const RangePixel* n : {up, down, left, right}) {
-          if (n) nbrs.push_back(n);
+          if (n) nbrs[count++] = n;
         }
-        if (nbrs.size() < 3) continue;
-        std::sort(nbrs.begin(), nbrs.end(),
-                  [](const RangePixel* a, const RangePixel* b) {
-                    return a->range < b->range;
-                  });
-        next[Index(r, c)] = *nbrs[nbrs.size() / 2];
-        changed = true;
+        if (count < 3) continue;
+        SortByRange(nbrs, count);
+        fills.emplace_back(Index(r, c), *nbrs[count / 2]);
       }
     }
-    pixels_ = std::move(next);
-    if (!changed) break;
+    for (const auto& [index, px] : fills) pixels_[index] = px;
+    if (fills.empty()) break;
   }
 }
 
 PointCloud RangeImage::ToPointCloud() const {
+  std::size_t count = 0;
+  for (const auto& px : pixels_) count += px.valid ? 1 : 0;
   PointCloud out;
+  out.reserve(count);
   for (const auto& px : pixels_) {
     if (px.valid) out.Add({px.x, px.y, px.z}, px.reflectance);
   }

@@ -7,6 +7,8 @@
 #include <tuple>
 #include <utility>
 
+#include "common/simd.h"
+
 namespace cooper::spod {
 namespace {
 
@@ -95,6 +97,32 @@ bool AnyPairWithin(const pc::PointCloud& cloud,
   return false;
 }
 
+// The box fit's yaw search: 45 steps of 2 degrees over [0, 90), padded to
+// 48 entries so every vector tier's yaw groups divide it; the pad entries
+// repeat step 0 and their bounds are never read.
+constexpr std::size_t kSteps = 45;
+constexpr std::size_t kPaddedSteps = 48;
+
+struct YawTable {
+  double yaw[kPaddedSteps];
+  double cos[kPaddedSteps];
+  double sin[kPaddedSteps];
+};
+
+const YawTable& Yaws() {
+  static const YawTable table = [] {
+    YawTable t{};
+    for (std::size_t s = 0; s < kPaddedSteps; ++s) {
+      const int step = s < kSteps ? static_cast<int>(s) : 0;
+      t.yaw[s] = geom::DegToRad(90.0 * step / static_cast<int>(kSteps));
+      t.cos[s] = std::cos(t.yaw[s]);
+      t.sin[s] = std::sin(t.yaw[s]);
+    }
+    return t;
+  }();
+  return table;
+}
+
 }  // namespace
 
 std::vector<Cluster> ClusterPoints(const pc::PointCloud& cloud,
@@ -176,28 +204,30 @@ std::vector<Cluster> ClusterPointsAllPairs(const pc::PointCloud& cloud,
 }
 
 geom::Box3 FitOrientedBox(const pc::PointCloud& cluster) {
+  const YawTable& yaws = Yaws();
+  static_assert(sizeof(pc::Point) % sizeof(double) == 0);
+  constexpr std::size_t kPointStride = sizeof(pc::Point) / sizeof(double);
+  double bounds[4 * kPaddedSteps];
+  common::simd::Active().rotated_bounds(
+      yaws.cos, yaws.sin, kPaddedSteps,
+      cluster.empty() ? nullptr : &cluster[0].position.x, kPointStride,
+      cluster.size(), bounds);
+  // Pick the smallest area in step order; the first of equal areas wins.
   geom::Box3 best;
   double best_area = std::numeric_limits<double>::infinity();
-  constexpr int kSteps = 45;  // 2-degree resolution
-  for (int s = 0; s < kSteps; ++s) {
-    const double yaw = geom::DegToRad(90.0 * s / kSteps);
-    const double c = std::cos(yaw), si = std::sin(yaw);
-    double xmin = std::numeric_limits<double>::infinity(), xmax = -xmin;
-    double ymin = xmin, ymax = -xmin;
-    for (const auto& p : cluster) {
-      const double lx = c * p.position.x + si * p.position.y;
-      const double ly = -si * p.position.x + c * p.position.y;
-      xmin = std::min(xmin, lx); xmax = std::max(xmax, lx);
-      ymin = std::min(ymin, ly); ymax = std::max(ymax, ly);
-    }
+  for (std::size_t s = 0; s < kSteps; ++s) {
+    const double xmin = bounds[s], xmax = bounds[kPaddedSteps + s];
+    const double ymin = bounds[2 * kPaddedSteps + s];
+    const double ymax = bounds[3 * kPaddedSteps + s];
     const double area = (xmax - xmin) * (ymax - ymin);
     if (area < best_area) {
       best_area = area;
+      const double c = yaws.cos[s], si = yaws.sin[s];
       const double cx = 0.5 * (xmin + xmax), cy = 0.5 * (ymin + ymax);
       best.center = {c * cx - si * cy, si * cx + c * cy, 0.0};
       best.length = xmax - xmin;
       best.width = ymax - ymin;
-      best.yaw = yaw;
+      best.yaw = yaws.yaw[s];
     }
   }
   // Convention: length >= width, yaw along the long axis.

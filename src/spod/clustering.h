@@ -72,8 +72,10 @@ std::vector<Cluster> ClusterPointsAllPairs(const pc::PointCloud& cloud,
                                            std::size_t min_points);
 
 /// Minimum-area oriented bounding box of a cluster: yaw is searched over
-/// [0, 90) degrees (the rectangle is symmetric beyond that), extents come
-/// from the rotated axis-aligned bounds, height from the z extent.
+/// [0, 90) degrees in 2-degree steps (the rectangle is symmetric beyond
+/// that), extents come from the rotated axis-aligned bounds — all 45 yaws
+/// in one `common::simd` rotated_bounds call — and height from the z
+/// extent.  The first step with the smallest area wins.
 geom::Box3 FitOrientedBox(const pc::PointCloud& cluster);
 
 }  // namespace cooper::spod

@@ -170,27 +170,9 @@ SpodResult SpodDetector::DetectPreprocessed(const pc::PointCloud& input) const {
   // --- Stage 3: proposals, confidence, NMS. ---
   auto clusters = ClusterPoints(above, config_.cluster_merge_radius,
                                 config_.min_cluster_points, &sc.cluster);
-  // Oversized clusters are usually several objects bridged by stray returns
-  // (a car parked against a truck); split them once at a tighter radius so
-  // the parts get their own proposals instead of a blanket rejection.
-  {
-    std::vector<Cluster> refined;
-    for (auto& cluster : clusters) {
-      const geom::Box3 probe = FitOrientedBox(cluster.points);
-      if (probe.length > config_.max_length || probe.width > config_.max_width) {
-        auto parts = ClusterPoints(cluster.points,
-                                   0.55 * config_.cluster_merge_radius,
-                                   config_.min_cluster_points, &sc.cluster);
-        for (auto& part : parts) refined.push_back(std::move(part));
-      } else {
-        refined.push_back(std::move(cluster));
-      }
-    }
-    clusters = std::move(refined);
-  }
   auto score_cluster = [this](const pc::PointCloud& points,
+                              const geom::Box3& fitted,
                               Detection* out) -> bool {
-    const geom::Box3 fitted = FitOrientedBox(points);
     // Reject anything larger than every template (walls, buildings, merged
     // rows of cars).
     if (fitted.length > config_.max_length || fitted.width > config_.max_width) {
@@ -234,11 +216,30 @@ SpodResult SpodDetector::DetectPreprocessed(const pc::PointCloud& input) const {
   // carries across frames (the per-candidate point storage is rebuilt).
   std::vector<DetectorCandidate>& candidates = sc.candidates;
   candidates.clear();
-  for (auto& cluster : clusters) {
+  const auto propose = [&](pc::PointCloud& points, const geom::Box3& fitted) {
     DetectorCandidate c;
-    if (!score_cluster(cluster.points, &c.det)) continue;
-    c.points = std::move(cluster.points);
+    if (!score_cluster(points, fitted, &c.det)) return;
+    c.points = std::move(points);
     candidates.push_back(std::move(c));
+  };
+  // Oversized clusters are usually several objects bridged by stray returns
+  // (a car parked against a truck); split them once at a tighter radius so
+  // the parts get their own proposals instead of a blanket rejection.  Each
+  // cluster is fitted once: a cluster that stays whole is scored with its
+  // probe box, each part of a split one with its own fit.
+  for (auto& cluster : clusters) {
+    const geom::Box3 probe = FitOrientedBox(cluster.points);
+    if (probe.length > config_.max_length || probe.width > config_.max_width) {
+      auto parts = ClusterPoints(cluster.points,
+                                 0.55 * config_.cluster_merge_radius,
+                                 config_.min_cluster_points, &sc.cluster);
+      for (auto& part : parts) {
+        const geom::Box3 fitted = FitOrientedBox(part.points);
+        propose(part.points, fitted);
+      }
+    } else {
+      propose(cluster.points, probe);
+    }
   }
 
   // Opposite-face pairing.  A fused two-viewpoint cloud sees a car as two
@@ -258,7 +259,8 @@ SpodResult SpodDetector::DetectPreprocessed(const pc::PointCloud& input) const {
       Detection refit;
       const double best = std::max(candidates[i].det.score,
                                    candidates[j].det.score);
-      if (score_cluster(merged, &refit) && refit.score >= best - 0.02) {
+      if (score_cluster(merged, FitOrientedBox(merged), &refit) &&
+          refit.score >= best - 0.02) {
         candidates[i].points = std::move(merged);
         candidates[i].det = refit;
         candidates.erase(candidates.begin() + static_cast<std::ptrdiff_t>(j));
@@ -292,7 +294,8 @@ SpodResult SpodDetector::DetectPreprocessed(const pc::PointCloud& input) const {
     }
     overlaps->points.Merge(c.points);
     Detection refit;
-    if (score_cluster(overlaps->points, &refit) &&
+    if (score_cluster(overlaps->points, FitOrientedBox(overlaps->points),
+                      &refit) &&
         refit.score >= overlaps->det.score) {
       overlaps->det = refit;
     } else {

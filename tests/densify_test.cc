@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "common/rng.h"
 #include "core/roi.h"
@@ -93,6 +96,110 @@ TEST(DensifyTest, SparseScanGainsPointsOnObjects) {
   const auto after = densified.CountInBox(car_sensor.Expanded(0.2));
   ASSERT_GT(before, 20u);
   EXPECT_GT(after, before * 13 / 10);
+}
+
+// --- Densify against the copy-and-sort algorithm ---
+
+// The earlier densify, kept here as the oracle: each pass copies the whole
+// image, writes fills into the copy while reading the original, and takes
+// the median neighbour from std::sort.
+void DensifyReference(std::vector<pc::RangePixel>& pixels, int rows, int cols,
+                      int max_passes) {
+  const auto at = [&](int r, int c) -> const pc::RangePixel& {
+    return pixels[static_cast<std::size_t>(r) * cols + c];
+  };
+  for (int pass = 0; pass < max_passes; ++pass) {
+    std::vector<pc::RangePixel> next = pixels;
+    bool changed = false;
+    for (int r = 0; r < rows; ++r) {
+      for (int c = 0; c < cols; ++c) {
+        if (at(r, c).valid) continue;
+        const pc::RangePixel* up =
+            (r > 0 && at(r - 1, c).valid) ? &at(r - 1, c) : nullptr;
+        const pc::RangePixel* down =
+            (r + 1 < rows && at(r + 1, c).valid) ? &at(r + 1, c) : nullptr;
+        const pc::RangePixel* left =
+            (c > 0 && at(r, c - 1).valid) ? &at(r, c - 1) : nullptr;
+        const pc::RangePixel* right =
+            (c + 1 < cols && at(r, c + 1).valid) ? &at(r, c + 1) : nullptr;
+        pc::RangePixel& out = next[static_cast<std::size_t>(r) * cols + c];
+        if (up && down && std::abs(up->range - down->range) < 1.0f) {
+          out.valid = true;
+          out.range = 0.5f * (up->range + down->range);
+          out.x = 0.5f * (up->x + down->x);
+          out.y = 0.5f * (up->y + down->y);
+          out.z = 0.5f * (up->z + down->z);
+          out.reflectance = 0.5f * (up->reflectance + down->reflectance);
+          changed = true;
+          continue;
+        }
+        std::vector<const pc::RangePixel*> nbrs;
+        for (const pc::RangePixel* n : {up, down, left, right}) {
+          if (n) nbrs.push_back(n);
+        }
+        if (nbrs.size() < 3) continue;
+        std::sort(nbrs.begin(), nbrs.end(),
+                  [](const pc::RangePixel* a, const pc::RangePixel* b) {
+                    return a->range < b->range;
+                  });
+        out = *nbrs[nbrs.size() / 2];
+        changed = true;
+      }
+    }
+    pixels = std::move(next);
+    if (!changed) break;
+  }
+}
+
+// Field-by-field bit comparison (struct padding is not part of a pixel).
+bool PixelBitsEqual(const pc::RangePixel& a, const pc::RangePixel& b) {
+  const float fa[] = {a.range, a.x, a.y, a.z, a.reflectance};
+  const float fb[] = {b.range, b.x, b.y, b.z, b.reflectance};
+  return a.valid == b.valid && std::memcmp(fa, fb, sizeof fa) == 0;
+}
+
+TEST(DensifyTest, MatchesCopyAndSortReference) {
+  pc::SphericalProjectionConfig cfg;
+  cfg.rows = 14;
+  cfg.cols = 37;
+  Rng rng(77);
+  // Ranges come from a short list so neighbours often tie exactly — the
+  // median pick then depends on the sort's tie order — plus values within
+  // 1 m of each other for the vertical interpolation.
+  const float kRanges[] = {5.0f, 5.0f, 5.5f, 9.0f, 9.0f, 9.75f, 20.0f};
+  for (int trial = 0; trial < 40; ++trial) {
+    pc::RangeImage img(cfg);
+    const double fill = rng.Uniform(0.2, 0.8);
+    for (int r = 0; r < cfg.rows; ++r) {
+      for (int c = 0; c < cfg.cols; ++c) {
+        if (rng.Uniform() >= fill) continue;
+        pc::RangePixel& px = img.At(r, c);
+        px.valid = true;
+        px.range = kRanges[static_cast<int>(rng.Uniform(0.0, 7.0)) % 7];
+        px.x = static_cast<float>(rng.Uniform(-30.0, 30.0));
+        px.y = static_cast<float>(rng.Uniform(-30.0, 30.0));
+        px.z = static_cast<float>(rng.Uniform(-2.0, 2.0));
+        px.reflectance = static_cast<float>(rng.Uniform());
+      }
+    }
+    for (const int passes : {1, 2}) {
+      pc::RangeImage got = img;
+      std::vector<pc::RangePixel> want;
+      for (int r = 0; r < cfg.rows; ++r) {
+        for (int c = 0; c < cfg.cols; ++c) want.push_back(img.At(r, c));
+      }
+      got.Densify(passes);
+      DensifyReference(want, cfg.rows, cfg.cols, passes);
+      for (int r = 0; r < cfg.rows; ++r) {
+        for (int c = 0; c < cfg.cols; ++c) {
+          ASSERT_TRUE(PixelBitsEqual(
+              got.At(r, c), want[static_cast<std::size_t>(r) * cfg.cols + c]))
+              << "trial " << trial << " passes " << passes << " pixel (" << r
+              << ", " << c << ")";
+        }
+      }
+    }
+  }
 }
 
 // --- ROI config knobs ---

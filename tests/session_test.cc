@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <vector>
+
 #include "core/session.h"
 #include "eval/experiment.h"
 #include "eval/matching.h"
@@ -388,6 +391,65 @@ TEST(SessionCacheTest, EvictionAndExpiryDropCachedClouds) {
   ASSERT_TRUE(session.ReceivePackage(TinyPackage(1, 14.0), 14.0).ok());
   session.DetectCooperative(local, kEgoNav, 14.0);
   EXPECT_EQ(session.stats().recon_cache_misses, 4u);
+}
+
+TEST(SessionTest, NonFiniteHeaderRejectedAndLeavesNoState) {
+  // Regression: every comparison with NaN is false, so a NaN timestamp
+  // passed both age gates, never expired and pinned a cooperator slot.  Each
+  // non-finite header field is rejected up front, on the package path and
+  // the wire path (whose decoded payload would otherwise seed the cache).
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<void (*)(ExchangePackage&, double)> corrupt = {
+      [](ExchangePackage& p, double v) { p.timestamp_s = v; },
+      [](ExchangePackage& p, double v) { p.nav.gps_position.x = v; },
+      [](ExchangePackage& p, double v) { p.nav.gps_position.z = v; },
+      [](ExchangePackage& p, double v) { p.nav.imu_attitude.yaw = v; },
+      [](ExchangePackage& p, double v) { p.nav.imu_attitude.pitch = v; },
+      [](ExchangePackage& p, double v) { p.nav.imu_attitude.roll = v; },
+      [](ExchangePackage& p, double v) { p.nav.lidar_mount.y = v; },
+  };
+  CooperativeSession session(TestConfig());
+  std::size_t rejected = 0;
+  std::uint32_t sender = 1;
+  for (const auto& set : corrupt) {
+    for (const double bad : {nan, inf, -inf}) {
+      ExchangePackage package = TinyPackage(sender, 10.0);
+      set(package, bad);
+      EXPECT_EQ(session.ReceivePackage(package, 10.0).code(),
+                StatusCode::kInvalidArgument);
+      EXPECT_EQ(session.ReceiveWire(net::SerializePackage(package), 10.0).code(),
+                StatusCode::kInvalidArgument);
+      rejected += 2;
+      ++sender;
+    }
+  }
+  EXPECT_EQ(session.stats().packages_rejected_invalid, rejected);
+  EXPECT_EQ(session.stats().packages_accepted, 0u);
+  EXPECT_EQ(session.stats().packages_corrupt, 0u);
+  EXPECT_EQ(session.num_cooperators(), 0u);
+  // Nothing held, so fusion neither hits nor fills the reconstruction cache
+  // and matches a session that never saw the packages.
+  pc::PointCloud local;
+  local.Add({3, 0, 0}, 0.5f);
+  const auto out = session.DetectCooperative(local, kEgoNav, 10.0);
+  EXPECT_EQ(session.stats().recon_cache_hits, 0u);
+  EXPECT_EQ(session.stats().recon_cache_misses, 0u);
+  CooperativeSession fresh(TestConfig());
+  ExpectBitIdentical(out, fresh.DetectCooperative(local, kEgoNav, 10.0),
+                     "after rejected packages");
+  // A rejected package from a sender with a held frame leaves that frame
+  // (and its cache entry) in place.
+  ASSERT_TRUE(session.ReceivePackage(TinyPackage(1, 10.5), 10.5).ok());
+  session.DetectCooperative(local, kEgoNav, 10.5);
+  ExchangePackage late = TinyPackage(1, 10.6);
+  late.timestamp_s = nan;
+  EXPECT_EQ(session.ReceiveWire(net::SerializePackage(late), 10.6).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(session.Cooperators(), std::vector<std::uint32_t>{1});
+  session.DetectCooperative(local, kEgoNav, 10.6);
+  EXPECT_EQ(session.stats().recon_cache_hits, 1u);
+  EXPECT_EQ(session.stats().recon_cache_misses, 1u);
 }
 
 TEST(SessionCacheTest, CorruptReplacementDoesNotServeStaleCloud) {

@@ -132,45 +132,6 @@ TEST(SimdDispatch, NamesRoundTrip) {
   EXPECT_FALSE(CpuFeatureString().empty());
 }
 
-TEST(SimdSweep, SaxpyMatchesScalarAtEveryTail) {
-  // Special values go into x and y in separate sweeps, never both: when y
-  // and a*x are BOTH NaN, the add's result payload depends on operand
-  // order, which the compiler may commute (addition is commutative except
-  // for NaN payloads, which C++ leaves unspecified) — so that one case is
-  // outside the bit-exactness contract (see the saxpy doc in simd.h).  A
-  // single NaN/inf on either side still propagates deterministically.
-  std::mt19937 rng(0x5eed0002);
-  for (const Kernels* k : CompiledTiers()) {
-    for (std::size_t n = 0; n <= kMaxSweep; ++n) {
-      const std::vector<float> x_special = SpecialRow(rng, n);
-      const std::vector<float> y_special = SpecialRow(rng, n + 1);
-      std::vector<float> finite(n + 1);
-      for (float& v : finite) {
-        std::uniform_real_distribution<float> d(-100.0f, 100.0f);
-        v = rng() % 8 == 0 ? -0.0f : d(rng);
-      }
-      for (const float a : {0.5f, -3.0f, 0.0f}) {
-        {
-          std::vector<float> got = finite, want = finite;
-          got[n] = want[n] = 42.0f;  // overrun canary
-          Scalar().saxpy(want.data(), x_special.data(), a, n);
-          k->saxpy(got.data(), x_special.data(), a, n);
-          EXPECT_TRUE(BitEqual(got.data(), want.data(), n + 1))
-              << TierName(k->tier) << " saxpy special-x n=" << n << " a=" << a;
-        }
-        {
-          std::vector<float> got = y_special, want = y_special;
-          got[n] = want[n] = 42.0f;
-          Scalar().saxpy(want.data(), finite.data(), a, n);
-          k->saxpy(got.data(), finite.data(), a, n);
-          EXPECT_TRUE(BitEqual(got.data(), want.data(), n + 1))
-              << TierName(k->tier) << " saxpy special-y n=" << n << " a=" << a;
-        }
-      }
-    }
-  }
-}
-
 TEST(SimdSweep, ReluMatchesScalarAtEveryTail) {
   std::mt19937 rng(0x5eed0003);
   for (const Kernels* k : CompiledTiers()) {
@@ -329,6 +290,95 @@ TEST(SimdSweep, SumStridedMatchesScalarAtEveryTail) {
       const double got = k->sum_strided(x.data(), stride, n);
       EXPECT_EQ(std::memcmp(&got, &want, 8), 0)
           << TierName(k->tier) << " sum_strided n=" << n;
+    }
+  }
+}
+
+// Coordinates for the rotated-bounds sweep: ordinary values, a few repeated
+// values (equal projections, so ties between accumulator and candidate),
+// signed zeros, infinities and NaN (inf * 0 also makes NaN projections).
+double SpecialCoord(std::mt19937& rng) {
+  switch (rng() % 12) {
+    case 0: return std::numeric_limits<double>::quiet_NaN();
+    case 1: return std::numeric_limits<double>::infinity();
+    case 2: return -std::numeric_limits<double>::infinity();
+    case 3: return 0.0;
+    case 4: return -0.0;
+    case 5: return 1.5;
+    case 6: return -2.25;
+    default: {
+      std::uniform_real_distribution<double> d(-30.0, 30.0);
+      return d(rng);
+    }
+  }
+}
+
+TEST(SimdSweep, RotatedBoundsMatchesScalarAtEveryTail) {
+  std::mt19937 rng(0x5eed000b);
+  constexpr std::size_t kMaxYaws = 48;
+  // The box fit's yaw table, then yaws with exact zeros and negative
+  // sines, so -s flips the sign of both zeros and ordinary values.
+  std::vector<double> cos_yaw(kMaxYaws), sin_yaw(kMaxYaws);
+  for (std::size_t j = 0; j < kMaxYaws; ++j) {
+    const double yaw = (j < 45 ? 2.0 * static_cast<double>(j)
+                               : -37.0 * static_cast<double>(j)) *
+                       (3.141592653589793 / 180.0);
+    cos_yaw[j] = std::cos(yaw);
+    sin_yaw[j] = std::sin(yaw);
+  }
+  sin_yaw[1] = -0.0;
+  cos_yaw[2] = 0.0;
+  for (const Kernels* k : CompiledTiers()) {
+    for (std::size_t n = 0; n <= kMaxSweep; ++n) {
+      for (const std::size_t stride : {std::size_t{2}, std::size_t{4}}) {
+        std::vector<double> xy(n * stride);
+        for (double& v : xy) v = SpecialCoord(rng);
+        // Duplicate a point now and then: every projection of the copy ties.
+        if (n >= 2 && rng() % 2 == 0) {
+          xy[(n - 1) * stride] = xy[0];
+          xy[(n - 1) * stride + 1] = xy[1];
+        }
+        for (std::size_t yaws = 1; yaws <= kMaxYaws; ++yaws) {
+          std::vector<double> want(4 * yaws + 1, 7.0), got = want;
+          const double* pts = n == 0 ? nullptr : xy.data();
+          Scalar().rotated_bounds(cos_yaw.data(), sin_yaw.data(), yaws, pts,
+                                  stride, n, want.data());
+          k->rotated_bounds(cos_yaw.data(), sin_yaw.data(), yaws, pts, stride,
+                            n, got.data());
+          ASSERT_TRUE(BitEqual(got.data(), want.data(), 4 * yaws + 1))
+              << TierName(k->tier) << " rotated_bounds n=" << n
+              << " k=" << yaws << " stride=" << stride;
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdSweep, RotatedBoundsKeepsTheAccumulatorOnTies) {
+  // The loop the kernel replaced is std::min(acc, lx) / std::max(acc, lx):
+  // a tie keeps the earlier value, so -0 then +0 leaves -0 in both the min
+  // and the max, and NaN projections never enter the bounds.  Four copies
+  // of yaw 0 so every tier runs a vector pass, not just its scalar tail.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  // (x, y); at yaw 0, lx = x + 0*y and ly = (-0)*x + y.
+  const double xy[] = {1.0, -0.0,  // lx 1,   ly -0
+                       2.0, 0.0,   // lx 2,   ly +0
+                       nan, 5.0,   // lx NaN, ly NaN
+                       inf, 0.0,   // lx inf, ly NaN (-0 * inf)
+                       -3.0, -0.0};  // lx -3, ly +0
+  const double cos_yaw[] = {1.0, 1.0, 1.0, 1.0};
+  const double sin_yaw[] = {0.0, 0.0, 0.0, 0.0};
+  for (const Kernels* k : CompiledTiers()) {
+    double b[16];
+    k->rotated_bounds(cos_yaw, sin_yaw, 4, xy, 2, 5, b);
+    for (int j = 0; j < 4; ++j) {
+      EXPECT_EQ(b[j], -3.0) << TierName(k->tier);
+      EXPECT_EQ(b[4 + j], inf) << TierName(k->tier);
+      EXPECT_EQ(b[8 + j], 0.0) << TierName(k->tier);
+      EXPECT_TRUE(std::signbit(b[8 + j])) << TierName(k->tier) << " ymin";
+      EXPECT_EQ(b[12 + j], 0.0) << TierName(k->tier);
+      EXPECT_TRUE(std::signbit(b[12 + j])) << TierName(k->tier) << " ymax";
     }
   }
 }

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/simd.h"
 #include "sim/lidar.h"
 #include "sim/scene.h"
 #include "spod/clustering.h"
@@ -265,6 +268,119 @@ TEST(BoxFitTest, LengthIsAlwaysMajorAxis) {
   for (double y = -3; y <= 3; y += 0.1) cloud.Add({0, y, 0.5}, 0.5f);
   const geom::Box3 box = FitOrientedBox(cloud);
   EXPECT_GE(box.length, box.width);
+}
+
+// The yaw search as one scalar loop per step — the box fit before it moved
+// onto the rotated-bounds kernel.  Oracle for the test below.
+geom::Box3 FitOrientedBoxReference(const pc::PointCloud& cluster) {
+  geom::Box3 best;
+  double best_area = std::numeric_limits<double>::infinity();
+  constexpr int kSteps = 45;
+  for (int s = 0; s < kSteps; ++s) {
+    const double yaw = geom::DegToRad(90.0 * s / kSteps);
+    const double c = std::cos(yaw), si = std::sin(yaw);
+    double xmin = std::numeric_limits<double>::infinity(), xmax = -xmin;
+    double ymin = xmin, ymax = -xmin;
+    for (const auto& p : cluster) {
+      const double lx = c * p.position.x + si * p.position.y;
+      const double ly = -si * p.position.x + c * p.position.y;
+      xmin = std::min(xmin, lx); xmax = std::max(xmax, lx);
+      ymin = std::min(ymin, ly); ymax = std::max(ymax, ly);
+    }
+    const double area = (xmax - xmin) * (ymax - ymin);
+    if (area < best_area) {
+      best_area = area;
+      const double cx = 0.5 * (xmin + xmax), cy = 0.5 * (ymin + ymax);
+      best.center = {c * cx - si * cy, si * cx + c * cy, 0.0};
+      best.length = xmax - xmin;
+      best.width = ymax - ymin;
+      best.yaw = yaw;
+    }
+  }
+  if (best.width > best.length) {
+    std::swap(best.length, best.width);
+    best.yaw = geom::WrapAngle(best.yaw + geom::DegToRad(90.0));
+  }
+  double zmin = std::numeric_limits<double>::infinity(), zmax = -zmin;
+  for (const auto& p : cluster) {
+    zmin = std::min(zmin, p.position.z);
+    zmax = std::max(zmax, p.position.z);
+  }
+  best.height = std::max(0.1, zmax - zmin);
+  best.center.z = 0.5 * (zmin + zmax);
+  return best;
+}
+
+void ExpectBoxBitsEqual(const geom::Box3& a, const geom::Box3& b,
+                        const std::string& what) {
+  const double fa[] = {a.center.x, a.center.y, a.center.z, a.length,
+                       a.width,    a.height,   a.yaw};
+  const double fb[] = {b.center.x, b.center.y, b.center.z, b.length,
+                       b.width,    b.height,   b.yaw};
+  EXPECT_EQ(std::memcmp(fa, fb, sizeof fa), 0) << what;
+}
+
+TEST(ClusteringTest, FitOrientedBoxForcedScalarMatchesAuto) {
+  Rng rng(2024);
+  std::vector<pc::PointCloud> clusters;
+  clusters.emplace_back();  // empty
+  pc::PointCloud single;
+  single.Add({3.0, -1.0, 0.4}, 0.5f);
+  clusters.push_back(single);
+  // Car-sized blobs at random poses, a few hundred points each.
+  for (int b = 0; b < 24; ++b) {
+    const double cx = rng.Uniform(-40.0, 40.0), cy = rng.Uniform(-40.0, 40.0);
+    const double yaw = rng.Uniform(-3.14159, 3.14159);
+    const double half_l = rng.Uniform(0.3, 2.4), half_w = rng.Uniform(0.3, 1.0);
+    pc::PointCloud blob;
+    const int n = 5 + static_cast<int>(rng.Uniform(0.0, 400.0));
+    for (int i = 0; i < n; ++i) {
+      const double lx = rng.Uniform(-half_l, half_l);
+      const double ly = rng.Uniform(-half_w, half_w);
+      blob.Add({cx + lx * std::cos(yaw) - ly * std::sin(yaw),
+                cy + lx * std::sin(yaw) + ly * std::cos(yaw),
+                rng.Uniform(-1.0, 1.0)},
+               0.5f);
+    }
+    clusters.push_back(blob);
+  }
+  // A building wall: >= 9k points along a 40 m face with a little depth.
+  pc::PointCloud wall;
+  for (int i = 0; i < 9500; ++i) {
+    wall.Add({-20.0 + 40.0 * i / 9500.0, 12.0 + rng.Uniform(-0.05, 0.05),
+              rng.Uniform(-1.5, 3.0)},
+             0.5f);
+  }
+  clusters.push_back(wall);
+  // Collinear points (zero-width boxes at several yaws), including exact
+  // duplicates and an axis-aligned run.
+  for (const double yaw_deg : {0.0, 2.0, 33.0, 90.0}) {
+    pc::PointCloud line;
+    const double yaw = geom::DegToRad(yaw_deg);
+    for (int i = 0; i < 60; ++i) {
+      const double t = 0.1 * (i % 40);
+      line.Add({5.0 + t * std::cos(yaw), -2.0 + t * std::sin(yaw), 0.2}, 0.5f);
+    }
+    clusters.push_back(line);
+  }
+
+  std::vector<geom::Box3> auto_boxes;
+  for (const auto& c : clusters) auto_boxes.push_back(FitOrientedBox(c));
+  for (const common::simd::Mode mode :
+       {common::simd::Mode::kScalar, common::simd::Mode::kSse42,
+        common::simd::Mode::kAvx2, common::simd::Mode::kNeon}) {
+    common::simd::SetMode(mode);
+    for (std::size_t i = 0; i < clusters.size(); ++i) {
+      ExpectBoxBitsEqual(FitOrientedBox(clusters[i]), auto_boxes[i],
+                         std::string(common::simd::ModeName(mode)) +
+                             " cluster " + std::to_string(i));
+    }
+  }
+  common::simd::SetMode(common::simd::Mode::kAuto);
+  for (std::size_t i = 0; i < clusters.size(); ++i) {
+    ExpectBoxBitsEqual(FitOrientedBoxReference(clusters[i]), auto_boxes[i],
+                       "reference cluster " + std::to_string(i));
+  }
 }
 
 // --- Confidence model ---

@@ -1,7 +1,8 @@
 // Micro-benchmarks for the hot-path kernels this codebase optimises:
 // voxelisation with and without a reusable scratch, the ICP correspondence
-// gather, frame CRC-32, BEV proposal clustering and the oriented-box fit on
-// a fused cloud, and range-image densification of a 16-beam scan.
+// gather, frame CRC-32, BEV proposal clustering, the oriented-box fit and
+// the whole of SpodDetector::DetectPreprocessed on a fused cloud, and
+// range-image densification of a 16-beam scan.
 //
 // Two modes:
 //   default       — timed run (best-of-reps), writes a JSON baseline to
@@ -10,7 +11,8 @@
 //   --smoke       — few iterations, no timing thresholds; instead asserts
 //                   that every optimised kernel is bit-identical to its
 //                   reference (scratch vs fresh, scalar vs SIMD dispatch,
-//                   clustering vs all pairs).
+//                   clustering vs all pairs, detect's voxel count vs the
+//                   VoxelGrid size).
 //                   This is what the `perf` ctest label runs, including
 //                   under the sanitizer presets.
 #include <chrono>
@@ -31,6 +33,7 @@
 #include "pointcloud/voxel_grid.h"
 #include "sim/lidar.h"
 #include "sim/scenario.h"
+#include "spod/detector.h"
 #include "spod/clustering.h"
 
 using namespace cooper;
@@ -108,13 +111,11 @@ void CheckClustersEqual(const std::vector<spod::Cluster>& a,
   std::printf("  %-32s bit-identical: yes\n", what);
 }
 
-// The cloud SPOD clusters on a T&J scenario-2 receiver: ego plus its 4
-// cooperators' front-sector packages fused by a CooperativeSession, cut at
-// the detector's ground margin.  Also returns the detector's config and the
-// ego's own scan.
-pc::PointCloud MakeTjFusedAboveGround(std::uint64_t seed,
-                                      spod::SpodConfig* detector,
-                                      pc::PointCloud* ego_scan) {
+// The cloud SPOD detects on at a T&J scenario-2 receiver: ego plus its 4
+// cooperators' front-sector packages fused by a CooperativeSession, before
+// the ground cut.  Also returns the pipeline config and the ego's own scan.
+pc::PointCloud MakeTjFused(std::uint64_t seed, core::CooperConfig* config,
+                           pc::PointCloud* ego_scan) {
   const sim::Scenario scenario = sim::MakeTjScenario(2);
   const core::CooperConfig cfg = eval::MakeCooperConfig(scenario.lidar);
   const sim::LidarSimulator lidar(scenario.lidar);
@@ -136,13 +137,9 @@ pc::PointCloud MakeTjFusedAboveGround(std::uint64_t seed,
                                      10.0)
                      .ok());
   }
-  pc::PointCloud fused =
-      session.DetectCooperative(scans[0], navs[0], 10.0).fused_cloud;
-  fused.RemoveInvalid();
-  *detector = cfg.detector;
+  *config = cfg;
   *ego_scan = scans[0];
-  return fused.FilterMinZ(pc::EstimateGroundZ(fused) +
-                          cfg.detector.ground_margin);
+  return session.DetectCooperative(scans[0], navs[0], 10.0).fused_cloud;
 }
 
 // Forces the scalar dispatch tier for the lifetime of the scope — used for
@@ -289,11 +286,14 @@ int main(int argc, char** argv) {
   std::size_t cluster_points = 0;
   double cluster_radius = 0.0;
   std::size_t densify_points = 0;
+  std::size_t detect_points = 0;
   {
-    spod::SpodConfig detector;
+    core::CooperConfig config;
     pc::PointCloud ego_scan;
+    const pc::PointCloud fused = MakeTjFused(kClusterScanSeed, &config, &ego_scan);
+    const spod::SpodConfig& detector = config.detector;
     const pc::PointCloud above =
-        MakeTjFusedAboveGround(kClusterScanSeed, &detector, &ego_scan);
+        pc::AboveGround(fused, detector.ground_margin);
     const std::size_t min_points = detector.min_cluster_points;
     cluster_radius = detector.cluster_merge_radius;
     cluster_points = above.size();
@@ -343,6 +343,23 @@ int main(int argc, char** argv) {
       std::printf("  %-32s bit-identical: yes\n", "fit_box scalar vs simd");
     }
 
+    // The whole detector on the unfiltered fused cloud: preprocess, voxel
+    // count, cluster, split, score, pair and NMS.
+    const core::CooperPipeline pipeline(config);
+    detect_points = fused.size();
+    std::printf("detect_tj_fused: %zu fused points\n", fused.size());
+    spod::SpodResult detected;
+    results.push_back(TimeKernel("detect_tj_fused", reps, [&] {
+      detected = pipeline.detector().DetectPreprocessed(fused);
+      COOPER_CHECK(!detected.detections.empty());
+    }));
+    if (smoke) {
+      COOPER_CHECK(detected.num_voxels ==
+                   pc::VoxelGrid(above, detector.voxel).voxels().size());
+      std::printf("  %-32s equal: yes (%zu)\n", "detect voxel count vs grid",
+                  detected.num_voxels);
+    }
+
     // Range-image densification of the ego's 16-beam scan, as
     // SpodDetector::Densify runs it: project, one pass, back-project.
     densify_points = ego_scan.size();
@@ -386,8 +403,8 @@ int main(int argc, char** argv) {
                "\"tj-scenario-2 ego + 4 cooperators, front-sector ROI\", "
                "\"cluster_points\": %zu, \"cluster_radius\": %.2f, "
                "\"densify_scenario\": \"tj-scenario-2 ego scan\", "
-               "\"densify_points\": %zu},\n",
-               cluster_points, cluster_radius, densify_points);
+               "\"densify_points\": %zu, \"detect_points\": %zu},\n",
+               cluster_points, cluster_radius, densify_points, detect_points);
   std::fprintf(f, "  \"benchmarks\": [\n");
   for (std::size_t i = 0; i < results.size(); ++i) {
     const auto& r = results[i];

@@ -1,5 +1,7 @@
 #include "core/cooper.h"
 
+#include <algorithm>
+
 #include "common/simd.h"
 #include "common/status.h"
 #include "feat/fusion.h"
@@ -16,6 +18,19 @@ CooperConfig WithThreads(CooperConfig config) {
   config.detector.num_threads = config.num_threads;
   config.icp.num_threads = config.num_threads;
   return config;
+}
+
+// `scan` without its non-finite points.  One such point would poison the
+// codec origin, the ground percentile or a quantised coordinate, so the
+// sender drops them before building any level.  Returns `scan` itself when
+// every point is finite (no copy), else the cleaned copy in `storage`.
+const pc::PointCloud& FinitePoints(const pc::PointCloud& scan,
+                                   pc::PointCloud& storage) {
+  if (std::all_of(scan.begin(), scan.end(), pc::IsFinite)) return scan;
+  storage = scan;
+  const std::size_t dropped = storage.RemoveInvalid();
+  COOPER_COUNT_N("cooper.points_dropped_invalid", dropped);
+  return storage;
 }
 
 }  // namespace
@@ -42,7 +57,9 @@ ExchangePackage CooperPipeline::MakePackage(std::uint32_t sender_id,
                                             const NavMetadata& nav,
                                             const pc::PointCloud& local_cloud) const {
   obs::Span span("cooper.make_package", "core");
-  const pc::PointCloud roi_cloud = ExtractRoi(local_cloud, roi, config_.roi);
+  pc::PointCloud storage;
+  const pc::PointCloud& scan = FinitePoints(local_cloud, storage);
+  const pc::PointCloud roi_cloud = ExtractRoi(scan, roi, config_.roi);
   COOPER_COUNT("cooper.packages_built");
   COOPER_COUNT_N("cooper.roi_points", roi_cloud.size());
   return BuildPackage(sender_id, timestamp_s, roi, nav, roi_cloud, codec_);
@@ -51,8 +68,10 @@ ExchangePackage CooperPipeline::MakePackage(std::uint32_t sender_id,
 ExchangePackage CooperPipeline::MakeLeveledPackage(
     std::uint32_t sender_id, double timestamp_s, RoiCategory roi,
     feat::ExchangeLevel level, const NavMetadata& nav,
-    const pc::PointCloud& local_cloud) const {
+    const pc::PointCloud& raw_scan) const {
   obs::Span span("cooper.make_leveled_package", "core");
+  pc::PointCloud storage;
+  const pc::PointCloud& local_cloud = FinitePoints(raw_scan, storage);
   switch (level) {
     case feat::ExchangeLevel::kRawCloud: {
       // Whole scan, no ROI filter — the paper's raw exchange baseline.  The

@@ -79,7 +79,8 @@ class CooperPipeline {
   explicit CooperPipeline(const CooperConfig& config);
 
   /// Sender side: build the package a vehicle would broadcast (ROI-cloud
-  /// level, the paper's exchange mode).
+  /// level, the paper's exchange mode).  Non-finite scan points are dropped
+  /// first and counted as `cooper.points_dropped_invalid`.
   ExchangePackage MakePackage(std::uint32_t sender_id, double timestamp_s,
                               RoiCategory roi, const NavMetadata& nav,
                               const pc::PointCloud& local_cloud) const;
@@ -88,7 +89,8 @@ class CooperPipeline {
   /// whole scan, kRoiCloud the ROI-filtered scan (== MakePackage), and
   /// kVoxelFeatures the quantized VFE feature map of the ROI-filtered scan
   /// (the F-Cooper tap; see feat/).  The exchange planner picks `level` per
-  /// cooperator from the DSRC budget (feat::PlanExchange).
+  /// cooperator from the DSRC budget (feat::PlanExchange).  Every level
+  /// drops non-finite scan points first, as MakePackage does.
   ExchangePackage MakeLeveledPackage(std::uint32_t sender_id,
                                      double timestamp_s, RoiCategory roi,
                                      feat::ExchangeLevel level,

@@ -78,10 +78,7 @@ PointCloud PointCloud::FilterMinZ(double min_z) const {
 
 std::size_t PointCloud::RemoveInvalid() {
   const std::size_t before = points_.size();
-  std::erase_if(points_, [](const Point& p) {
-    return !std::isfinite(p.position.x) || !std::isfinite(p.position.y) ||
-           !std::isfinite(p.position.z) || !std::isfinite(p.reflectance);
-  });
+  std::erase_if(points_, [](const Point& p) { return !IsFinite(p); });
   return before - points_.size();
 }
 
@@ -109,17 +106,47 @@ std::pair<geom::Vec3, geom::Vec3> PointCloud::Bounds() const {
   return {lo, hi};
 }
 
-double EstimateGroundZ(const PointCloud& cloud, double percentile) {
-  if (cloud.empty()) return 0.0;
-  std::vector<double> zs;
-  zs.reserve(cloud.size());
-  for (const auto& p : cloud) zs.push_back(p.position.z);
+namespace {
+
+// The `percentile` order statistic of `zs` (reordered in place), or 0 when
+// empty: the ground height both ground estimators report.
+double GroundZOf(std::vector<double>& zs, double percentile) {
+  if (zs.empty()) return 0.0;
   const std::size_t k = std::min(
       zs.size() - 1,
       static_cast<std::size_t>(percentile * static_cast<double>(zs.size())));
   std::nth_element(zs.begin(), zs.begin() + static_cast<std::ptrdiff_t>(k),
                    zs.end());
   return zs[k];
+}
+
+}  // namespace
+
+double EstimateGroundZ(const PointCloud& cloud, double percentile) {
+  std::vector<double> zs;
+  zs.reserve(cloud.size());
+  for (const auto& p : cloud) zs.push_back(p.position.z);
+  return GroundZOf(zs, percentile);
+}
+
+PointCloud AboveGround(const PointCloud& cloud, double margin) {
+  std::vector<double> zs;
+  zs.reserve(cloud.size());
+  for (const auto& p : cloud) {
+    if (IsFinite(p)) zs.push_back(p.position.z);
+  }
+  if (zs.empty()) return {};
+  const double min_z = GroundZOf(zs, kGroundPercentile) + margin;
+  // The z values are exactly the kept points' z, so counting them sizes the
+  // output without a second pass over the cloud.
+  const auto kept = static_cast<std::size_t>(
+      std::count_if(zs.begin(), zs.end(), [&](double z) { return z >= min_z; }));
+  PointCloud out;
+  out.reserve(kept);
+  for (const auto& p : cloud) {
+    if (IsFinite(p) && p.position.z >= min_z) out.push_back(p);
+  }
+  return out;
 }
 
 PointCloud FuseClouds(const PointCloud& receiver_cloud,

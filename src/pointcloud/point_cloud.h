@@ -5,6 +5,7 @@
 // between vehicles (§II-C).
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <vector>
 
@@ -18,6 +19,13 @@ struct Point {
   geom::Vec3 position;
   float reflectance = 0.0f;
 };
+
+/// True when all three coordinates and the reflectance are finite — the
+/// points `PointCloud::RemoveInvalid` keeps.
+inline bool IsFinite(const Point& p) {
+  return std::isfinite(p.position.x) && std::isfinite(p.position.y) &&
+         std::isfinite(p.position.z) && std::isfinite(p.reflectance);
+}
 
 class PointCloud {
  public:
@@ -79,10 +87,20 @@ class PointCloud {
   std::vector<Point> points_;
 };
 
+/// The z percentile taken as the ground height.
+inline constexpr double kGroundPercentile = 0.02;
+
 /// Robust ground-height estimate: a low percentile of z (default 2 %),
 /// tolerant of a few undershooting returns.  Used by ground removal, ROI
 /// background subtraction and registration.
-double EstimateGroundZ(const PointCloud& cloud, double percentile = 0.02);
+double EstimateGroundZ(const PointCloud& cloud,
+                       double percentile = kGroundPercentile);
+
+/// Ground cut in one pass: the finite points of `cloud` (as RemoveInvalid
+/// keeps them) with z >= EstimateGroundZ(finite points) + `margin`, in input
+/// order.  Equal to copy → RemoveInvalid → FilterMinZ(EstimateGroundZ +
+/// margin), without copying the cloud.
+PointCloud AboveGround(const PointCloud& cloud, double margin);
 
 /// Eq. 2-3 in one step: transform `transmitter_cloud` from the transmitter's
 /// frame to the receiver's frame (via the pose difference) and union it with

@@ -37,6 +37,23 @@ Voxel& AcquireShardVoxel(VoxelGridScratch::Shard& shard, const VoxelCoord& c) {
 
 }  // namespace
 
+std::size_t CountOccupiedVoxels(const PointCloud& cloud,
+                                const VoxelGridConfig& config) {
+  struct Empty {};
+  common::FlatMap<VoxelCoord, Empty, VoxelCoordHash> occupied;
+  occupied.Reserve(cloud.size() / 4 + 16);
+  // Scan-ordered clouds put runs of points in one voxel; a run costs one
+  // hash probe.
+  std::optional<VoxelCoord> previous;
+  for (const auto& p : cloud) {
+    const auto c = CoordOf(p.position, config);
+    if (!c || c == previous) continue;
+    occupied.TryEmplace(*c);
+    previous = c;
+  }
+  return occupied.size();
+}
+
 VoxelGrid::VoxelGrid(const PointCloud& cloud, const VoxelGridConfig& config,
                      VoxelGridScratch* scratch)
     : config_(config) {

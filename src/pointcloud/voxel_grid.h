@@ -68,6 +68,12 @@ struct VoxelGridScratch {
   std::vector<Shard> shards;
 };
 
+/// Number of distinct voxels `cloud`'s in-bounds points occupy under
+/// `config`: `VoxelGrid(cloud, config).voxels().size()` without the grid
+/// (the per-voxel cap never drops a voxel), serial and frame-local.
+std::size_t CountOccupiedVoxels(const PointCloud& cloud,
+                                const VoxelGridConfig& config);
+
 class VoxelGrid {
  public:
   /// Builds the set of occupied voxels for `cloud` under `config`. Points

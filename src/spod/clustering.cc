@@ -80,17 +80,46 @@ std::vector<Cluster> CollectClusters(const pc::PointCloud& cloud,
   return out;
 }
 
+// Squared BEV distance from (x, y) to the box `b`; 0 inside it.  The box
+// edges are point coordinates and rounding is monotone, so the computed gap
+// never exceeds the computed fl(x − q.x)² + fl(y − q.y)² for any point q
+// inside `b`: a gap above r² rules out every pair with `b`'s points under
+// the inclusive predicate.
+double GapSquared(double x, double y, const CellBounds& b) {
+  const double gx = std::max({0.0, b.xmin - x, x - b.xmax});
+  const double gy = std::max({0.0, b.ymin - y, y - b.ymax});
+  return gx * gx + gy * gy;
+}
+
+// Squared gap between two boxes, bounded below by the same argument.
+double GapSquared(const CellBounds& a, const CellBounds& b) {
+  const double gx = std::max({0.0, b.xmin - a.xmax, a.xmin - b.xmax});
+  const double gy = std::max({0.0, b.ymin - a.ymax, a.ymin - b.ymax});
+  return gx * gx + gy * gy;
+}
+
 // True when some point of chain `a` and some point of chain `b` are within
 // the merge radius, by the same inclusive predicate the components are
-// defined on.  Stops at the first such pair.
+// defined on.  Only points within r of the other cell's bounds can be in
+// such a pair; the rest are dropped before pairing, and pairing stops at
+// the first hit.  `near_b` is caller-owned storage.
 bool AnyPairWithin(const pc::PointCloud& cloud,
                    const std::vector<std::uint32_t>& next, std::uint32_t a,
-                   std::uint32_t b, double r2) {
+                   const CellBounds& bounds_a, std::uint32_t b,
+                   const CellBounds& bounds_b, double r2,
+                   std::vector<geom::Vec3>& near_b) {
+  near_b.clear();
+  for (std::uint32_t j = b; j != kNone; j = next[j]) {
+    const geom::Vec3& q = cloud[j].position;
+    if (GapSquared(q.x, q.y, bounds_a) <= r2) near_b.push_back(q);
+  }
+  if (near_b.empty()) return false;
   for (std::uint32_t i = a; i != kNone; i = next[i]) {
     const geom::Vec3& p = cloud[i].position;
-    for (std::uint32_t j = b; j != kNone; j = next[j]) {
-      const double dx = p.x - cloud[j].position.x;
-      const double dy = p.y - cloud[j].position.y;
+    if (GapSquared(p.x, p.y, bounds_b) > r2) continue;
+    for (const geom::Vec3& q : near_b) {
+      const double dx = p.x - q.x;
+      const double dy = p.y - q.y;
       if (dx * dx + dy * dy <= r2) return true;
     }
   }
@@ -144,6 +173,7 @@ std::vector<Cluster> ClusterPoints(const pc::PointCloud& cloud,
   sc.grid.Clear();
   sc.grid.Reserve(n / 2 + 16);
   sc.cell_keys.clear();
+  sc.cell_bounds.clear();
   sc.cell_head.clear();
   sc.point_next.resize(n);
   for (std::uint32_t i = 0; i < n; ++i) {
@@ -155,8 +185,14 @@ std::vector<Cluster> ClusterPoints(const pc::PointCloud& cloud,
         key, static_cast<std::uint32_t>(sc.cell_keys.size()));
     if (inserted) {
       sc.cell_keys.push_back(key);
+      sc.cell_bounds.push_back({p.x, p.x, p.y, p.y});
       sc.cell_head.push_back(kNone);
     } else {
+      CellBounds& b = sc.cell_bounds[*slot];
+      b.xmin = std::min(b.xmin, p.x);
+      b.xmax = std::max(b.xmax, p.x);
+      b.ymin = std::min(b.ymin, p.y);
+      b.ymax = std::max(b.ymax, p.y);
       ds.Union(i, sc.cell_head[*slot]);
     }
     sc.point_next[i] = sc.cell_head[*slot];
@@ -165,20 +201,25 @@ std::vector<Cluster> ClusterPoints(const pc::PointCloud& cloud,
 
   // Cell-pair sweep: a cross-cell edge joins two whole cells, so each pair
   // of occupied neighbour cells needs one edge at most — none if the cells
-  // already share a root, otherwise the first pair found within r.  It runs
-  // serially: it costs a few ms on the densest fused cloud, and union order
-  // changes no component (CollectClusters makes the output order canonical).
+  // already share a root or their bounds are more than r apart, otherwise
+  // the first pair found within r.  It runs serially: union order changes
+  // no component (CollectClusters makes the output order canonical).
   const double r2 = merge_radius * merge_radius;
   const std::size_t num_cells = sc.cell_keys.size();
+  std::vector<geom::Vec3> near;
   for (std::size_t ci = 0; ci < num_cells; ++ci) {
     const pc::VoxelCoord key = sc.cell_keys[ci];
     const std::uint32_t head = sc.cell_head[ci];
+    const CellBounds& bounds = sc.cell_bounds[ci];
     for (const auto& d : kHalfNeighbourhood) {
       const std::uint32_t* nb = sc.grid.Find({key.x + d[0], key.y + d[1], 0});
       if (nb == nullptr) continue;
+      const CellBounds& nb_bounds = sc.cell_bounds[*nb];
+      if (GapSquared(bounds, nb_bounds) > r2) continue;
       const std::uint32_t other = sc.cell_head[*nb];
       if (ds.Find(head) == ds.Find(other)) continue;
-      if (AnyPairWithin(cloud, sc.point_next, head, other, r2)) {
+      if (AnyPairWithin(cloud, sc.point_next, head, bounds, other, nb_bounds,
+                        r2, near)) {
         ds.Union(head, other);
       }
     }
@@ -243,6 +284,31 @@ geom::Box3 FitOrientedBox(const pc::PointCloud& cluster) {
   best.height = std::max(0.1, zmax - zmin);
   best.center.z = 0.5 * (zmin + zmax);
   return best;
+}
+
+bool WiderThanBox(const pc::PointCloud& cluster, double max_length,
+                  double max_width) {
+  if (cluster.empty()) return false;
+  // First points at min x, max x, min y, max y.
+  const geom::Vec3* extreme[4] = {&cluster[0].position, &cluster[0].position,
+                                  &cluster[0].position, &cluster[0].position};
+  for (const auto& pt : cluster) {
+    const geom::Vec3& p = pt.position;
+    if (p.x < extreme[0]->x) extreme[0] = &p;
+    if (p.x > extreme[1]->x) extreme[1] = &p;
+    if (p.y < extreme[2]->y) extreme[2] = &p;
+    if (p.y > extreme[3]->y) extreme[3] = &p;
+  }
+  const double diagonal =
+      std::sqrt(max_length * max_length + max_width * max_width) + 1e-6;
+  for (int a = 0; a < 4; ++a) {
+    for (int b = a + 1; b < 4; ++b) {
+      const double dx = extreme[a]->x - extreme[b]->x;
+      const double dy = extreme[a]->y - extreme[b]->y;
+      if (std::sqrt(dx * dx + dy * dy) > diagonal) return true;
+    }
+  }
+  return false;
 }
 
 }  // namespace cooper::spod

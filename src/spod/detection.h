@@ -68,9 +68,10 @@ struct SpodConfig {
   // Plausible car extents (after box fit) used to reject clutter.
   double min_length = 1.0, max_length = 6.5;
   double min_width = 0.6, max_width = 3.2;
-  // Threads for the parallel stage (voxelisation; <= 0: hardware
-  // concurrency, 1: serial).  Detections are bit-identical for every thread
-  // count — see DESIGN.md "Threading model".
+  // Threads for the sender-side feature tap's voxel grid (ExtractFeatureMap;
+  // <= 0: hardware concurrency, 1: serial).  Detection itself is serial.
+  // Feature maps are bit-identical for every thread count — see DESIGN.md
+  // "Threading model".
   int num_threads = 1;
 };
 

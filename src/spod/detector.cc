@@ -128,10 +128,8 @@ SpodResult SpodDetector::Detect(const pc::PointCloud& input) const {
 feat::FeatureMap SpodDetector::ExtractFeatureMap(
     const pc::PointCloud& input) const {
   obs::Span span("spod.extract_features", "spod");
-  pc::PointCloud cloud = Densify(input);
-  cloud.RemoveInvalid();
-  const double ground_z = pc::EstimateGroundZ(cloud);
-  pc::PointCloud above = cloud.FilterMinZ(ground_z + config_.ground_margin);
+  const pc::PointCloud above =
+      pc::AboveGround(Densify(input), config_.ground_margin);
 
   pc::VoxelGridConfig voxel_cfg = config_.voxel;
   voxel_cfg.num_threads = config_.num_threads;
@@ -153,18 +151,12 @@ SpodResult SpodDetector::DetectPreprocessed(const pc::PointCloud& input) const {
   common::StageTimer timer;
   PipelineScratch& sc = scratch_;
 
-  // --- Stage 1: preprocessing. ---
-  pc::PointCloud cloud = input;
-  cloud.RemoveInvalid();
-  const double ground_z = pc::EstimateGroundZ(cloud);
-  pc::PointCloud above = cloud.FilterMinZ(ground_z + config_.ground_margin);
+  // --- Stage 1: preprocessing (invalid-point removal, ground cut). ---
+  const pc::PointCloud above = pc::AboveGround(input, config_.ground_margin);
   result.timings.preprocess_us = timer.Lap("preprocess");
 
-  // --- Stage 2: voxelisation (reports the occupied-voxel count). ---
-  pc::VoxelGridConfig voxel_cfg = config_.voxel;
-  voxel_cfg.num_threads = config_.num_threads;
-  const pc::VoxelGrid grid(above, voxel_cfg, &sc.voxel_grid);
-  result.num_voxels = grid.voxels().size();
+  // --- Stage 2: the occupied-voxel count. ---
+  result.num_voxels = pc::CountOccupiedVoxels(above, config_.voxel);
   result.timings.voxelize_us = timer.Lap("voxelize");
 
   // --- Stage 3: proposals, confidence, NMS. ---
@@ -226,10 +218,18 @@ SpodResult SpodDetector::DetectPreprocessed(const pc::PointCloud& input) const {
   // (a car parked against a truck); split them once at a tighter radius so
   // the parts get their own proposals instead of a blanket rejection.  Each
   // cluster is fitted once: a cluster that stays whole is scored with its
-  // probe box, each part of a split one with its own fit.
+  // probe box, each part of a split one with its own fit.  A cluster wider
+  // than the largest box's diagonal is oversized without a probe fit.
   for (auto& cluster : clusters) {
-    const geom::Box3 probe = FitOrientedBox(cluster.points);
-    if (probe.length > config_.max_length || probe.width > config_.max_width) {
+    geom::Box3 probe;
+    bool oversized =
+        WiderThanBox(cluster.points, config_.max_length, config_.max_width);
+    if (!oversized) {
+      probe = FitOrientedBox(cluster.points);
+      oversized =
+          probe.length > config_.max_length || probe.width > config_.max_width;
+    }
+    if (oversized) {
       auto parts = ClusterPoints(cluster.points,
                                  0.55 * config_.cluster_merge_radius,
                                  config_.min_cluster_points, &sc.cluster);

@@ -3,7 +3,7 @@
 // Detection stages:
 //   1. preprocessing      — invalid-point removal, spherical-projection
 //                           densification for sparse input [27], ground cut;
-//   2. voxelisation       — the occupied-voxel count reported per frame;
+//   2. voxel count        — the occupied-voxel count reported per frame;
 //   3. proposals + score  — BEV clustering, oriented-box fit and completion,
 //                           evidence-calibrated confidence (DESIGN.md §4.3),
 //                           NMS and thresholding.
@@ -77,8 +77,8 @@ class SpodDetector {
   /// Sender-side feature tap: the VFE voxel-feature tensor of `cloud` (own
   /// sensor frame), with the grid geometry needed to re-express it elsewhere.
   /// Runs preprocessing (densify-if-configured, invalid-point removal,
-  /// ground cut) and voxelization exactly as Detect would, then VFE-encodes
-  /// the occupied voxels.
+  /// ground cut) exactly as Detect would, voxelises the above-ground points
+  /// over the detector's grid, then VFE-encodes the occupied voxels.
   feat::FeatureMap ExtractFeatureMap(const pc::PointCloud& cloud) const;
 
   /// The densification preprocessing step alone (no-op unless the config

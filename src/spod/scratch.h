@@ -28,7 +28,7 @@ struct DetectorCandidate {
 };
 
 struct PipelineScratch {
-  pc::VoxelGridScratch voxel_grid;     // chunk-local shard grids
+  pc::VoxelGridScratch voxel_grid;     // feature tap's shard grids
   ClusterScratch cluster;              // cell index, union-find
   std::vector<DetectorCandidate> candidates;  // proposal buffer
   std::vector<DetectorCandidate> kept;        // NMS survivors

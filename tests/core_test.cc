@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "common/rng.h"
 #include "core/cooper.h"
 #include "core/exchange.h"
 #include "core/roi.h"
 #include "eval/experiment.h"
+#include "net/serialize.h"
+#include "obs/metrics.h"
 #include "sim/lidar.h"
 #include "sim/scene.h"
 
@@ -217,6 +221,57 @@ TEST(CooperPipelineTest, FullFramePayloadNearPaperBudget) {
                                             s.nav_b, s.cloud_b);
   EXPECT_LT(package.PayloadBytes(), 500u * 1024u);
   EXPECT_GT(package.PayloadBytes(), 20u * 1024u);
+}
+
+TEST(CooperPipelineTest, NonFiniteScanPointsAreDroppedAtEveryLevel) {
+  const auto s = MakeSetup();
+  const CooperPipeline pipeline(s.config);
+  // NaN, +inf and -inf in each of x, y, z and reflectance, on a point in
+  // the front sector, spread through the scan; plus (5, 0, -inf) last.
+  const double kNan = std::numeric_limits<double>::quiet_NaN();
+  const double kInf = std::numeric_limits<double>::infinity();
+  std::vector<pc::Point> poison;
+  for (const double bad : {kNan, kInf, -kInf}) {
+    for (int field = 0; field < 4; ++field) {
+      pc::Point p{{5.0, 0.0, -1.0}, 0.5f};
+      if (field == 0) p.position.x = bad;
+      if (field == 1) p.position.y = bad;
+      if (field == 2) p.position.z = bad;
+      if (field == 3) p.reflectance = static_cast<float>(bad);
+      poison.push_back(p);
+    }
+  }
+  pc::PointCloud dirty;
+  std::size_t next = 0;
+  for (std::size_t i = 0; i < s.cloud_b.size(); ++i) {
+    dirty.push_back(s.cloud_b[i]);
+    if (i % 997 == 0 && next < poison.size()) dirty.push_back(poison[next++]);
+  }
+  ASSERT_EQ(next, poison.size());
+  dirty.Add({5.0, 0.0, -kInf}, 0.5f);
+  const std::size_t num_bad = poison.size() + 1;
+
+  for (const auto level :
+       {feat::ExchangeLevel::kRawCloud, feat::ExchangeLevel::kRoiCloud,
+        feat::ExchangeLevel::kVoxelFeatures}) {
+    SCOPED_TRACE(static_cast<int>(level));
+    EXPECT_EQ(net::SerializePackage(pipeline.MakeLeveledPackage(
+                  2, 0.0, RoiCategory::kFrontSector, level, s.nav_b, dirty)),
+              net::SerializePackage(pipeline.MakeLeveledPackage(
+                  2, 0.0, RoiCategory::kFrontSector, level, s.nav_b,
+                  s.cloud_b)));
+  }
+
+  obs::SetEnabled(true);
+  obs::Counter& dropped =
+      obs::MetricsRegistry::Global().GetCounter("cooper.points_dropped_invalid");
+  const std::uint64_t before = dropped.Value();
+  EXPECT_EQ(net::SerializePackage(pipeline.MakePackage(
+                2, 0.0, RoiCategory::kFrontSector, s.nav_b, dirty)),
+            net::SerializePackage(pipeline.MakePackage(
+                2, 0.0, RoiCategory::kFrontSector, s.nav_b, s.cloud_b)));
+  EXPECT_EQ(dropped.Value() - before, num_bad);
+  obs::SetEnabled(false);
 }
 
 }  // namespace

@@ -119,6 +119,61 @@ TEST(PointCloudTest, RemoveInvalidDropsNanAndInf) {
   EXPECT_EQ(c.size(), 1u);
 }
 
+// AboveGround's reference: the copy → RemoveInvalid → EstimateGroundZ →
+// FilterMinZ sequence it replaces.
+PointCloud AboveGroundReference(const PointCloud& input, double margin) {
+  PointCloud cloud = input;
+  cloud.RemoveInvalid();
+  return cloud.FilterMinZ(EstimateGroundZ(cloud) + margin);
+}
+
+void ExpectSamePoints(const PointCloud& a, const PointCloud& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].position.x, b[i].position.x) << i;
+    EXPECT_EQ(a[i].position.y, b[i].position.y) << i;
+    EXPECT_EQ(a[i].position.z, b[i].position.z) << i;
+    EXPECT_EQ(a[i].reflectance, b[i].reflectance) << i;
+  }
+}
+
+TEST(PointCloudTest, AboveGroundMatchesCopyFilterReference) {
+  const double kNan = std::numeric_limits<double>::quiet_NaN();
+  const double kInf = std::numeric_limits<double>::infinity();
+  Rng rng(77);
+  for (const double margin : {0.0, 0.25, 0.3, -0.5}) {
+    SCOPED_TRACE(margin);
+    PointCloud cloud;
+    for (int i = 0; i < 3000; ++i) {
+      // z on a 0.25 m lattice, so many points tie with the ground estimate
+      // and with the threshold itself.
+      const double z = -2.0 + 0.25 * static_cast<int>(rng.Uniform(0.0, 14.0));
+      cloud.Add({rng.Uniform(-40.0, 40.0), rng.Uniform(-40.0, 40.0), z},
+                static_cast<float>(rng.Uniform()));
+      if (i % 97 == 0) {
+        // Invalid points whose finite z would otherwise move the percentile.
+        const double bad = i % 2 == 0 ? kNan : (i % 3 == 0 ? kInf : -kInf);
+        cloud.Add({bad, 0.0, -9.0}, 0.5f);
+        cloud.Add({0.0, bad, 5.0}, 0.5f);
+        cloud.Add({1.0, 1.0, bad}, 0.5f);
+        cloud.Add({1.0, 1.0, -9.0}, static_cast<float>(bad));
+      }
+    }
+    ExpectSamePoints(AboveGround(cloud, margin),
+                     AboveGroundReference(cloud, margin));
+  }
+  // Degenerate inputs: empty, all invalid, one point.
+  EXPECT_TRUE(AboveGround(PointCloud{}, 0.3).empty());
+  PointCloud invalid;
+  invalid.Add({kNan, 0.0, 0.0}, 0.5f);
+  invalid.Add({0.0, 0.0, -kInf}, 0.5f);
+  EXPECT_TRUE(AboveGround(invalid, -1.0).empty());
+  invalid.Add({0.0, 0.0, 1.5}, 0.5f);
+  ExpectSamePoints(AboveGround(invalid, 0.0),
+                   AboveGroundReference(invalid, 0.0));
+  EXPECT_EQ(AboveGround(invalid, 0.0).size(), 1u);
+}
+
 TEST(PointCloudTest, BoundsComputed) {
   PointCloud c;
   c.Add({-1, 5, 0}, 0.0f);
@@ -200,6 +255,42 @@ TEST(VoxelGridTest, OutOfBoundsPointsIgnored) {
   c.Add({-5, 0.5, 0.5}, 0.0f);
   c.Add({0.5, 0.5, 0.5}, 0.0f);
   EXPECT_EQ(VoxelGrid(c, cfg).voxels().size(), 1u);
+}
+
+TEST(VoxelGridTest, CountOccupiedVoxelsMatchesGridSize) {
+  VoxelGridConfig cfg;
+  cfg.min_bound = {-10.0, -8.0, -3.0};
+  cfg.max_bound = {10.0, 8.0, 2.0};
+  cfg.voxel_size = {0.25, 0.25, 0.5};
+  cfg.max_points_per_voxel = 3;  // the cap drops points, never voxels
+  Rng rng(19);
+  PointCloud cloud;
+  for (int i = 0; i < 4000; ++i) {
+    // Spans past every bound, with negative coordinates.
+    const Point p{{rng.Uniform(-12.0, 12.0), rng.Uniform(-10.0, 10.0),
+                   rng.Uniform(-4.0, 3.0)},
+                  0.5f};
+    cloud.push_back(p);
+    // Repeats: back to back, and again after an out-of-bounds point.
+    if (i % 5 == 0) cloud.push_back(p);
+    if (i % 7 == 0) {
+      cloud.Add({50.0, 0.0, 0.0}, 0.5f);
+      cloud.push_back(p);
+    }
+  }
+  // Points on max_bound (excluded) and min_bound (included).
+  for (const double t : {-1.0, 0.0, 3.5}) {
+    cloud.Add({cfg.max_bound.x, t, 0.0}, 0.5f);
+    cloud.Add({t, cfg.max_bound.y, 0.0}, 0.5f);
+    cloud.Add({t, t, cfg.max_bound.z}, 0.5f);
+    cloud.Add({cfg.min_bound.x, t, cfg.min_bound.z}, 0.5f);
+  }
+  for (const int threads : {1, 4}) {
+    cfg.num_threads = threads;
+    EXPECT_EQ(CountOccupiedVoxels(cloud, cfg),
+              VoxelGrid(cloud, cfg).voxels().size());
+  }
+  EXPECT_EQ(CountOccupiedVoxels(PointCloud{}, cfg), 0u);
 }
 
 TEST(VoxelGridTest, MaxPointsPerVoxelCap) {

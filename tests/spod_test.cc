@@ -176,6 +176,31 @@ pc::PointCloud OracleCloud(double r, std::uint64_t seed) {
       x += 6.0;
     }
   }
+  // Dense blocks whose bounds are r apart, along x or diagonally (two cells
+  // apart on both axes), laid out 6 m apart along y = 75.  Each block's
+  // corner is its nearest point to the other block, so the bound gap is the
+  // nearest pair's distance; the partner corner steps a few ulps either
+  // side of r to straddle the inclusive boundary.
+  double bx = -60.0;
+  for (const bool diagonal : {false, true}) {
+    for (int ulps = -2; ulps <= 2; ++ulps) {
+      const double d = diagonal ? r / std::sqrt(2.0) : r;
+      double ox = bx + d;
+      double oy = diagonal ? 75.0 + d : 75.0;
+      for (int u = 0; u < std::abs(ulps); ++u) {
+        ox = std::nextafter(ox, ulps > 0 ? 1e9 : -1e9);
+        if (diagonal) oy = std::nextafter(oy, ulps > 0 ? 1e9 : -1e9);
+      }
+      add(bx, 75.0);
+      add(ox, oy);
+      for (int i = 0; i < 100; ++i) {
+        add(bx - rng.Uniform(0.0, 0.4 * r), 75.0 - rng.Uniform(0.0, 0.4 * r));
+        add(ox + rng.Uniform(0.0, 0.4 * r),
+            oy + (diagonal ? 1.0 : -1.0) * rng.Uniform(0.0, 0.4 * r));
+      }
+      bx += 6.0;
+    }
+  }
   return cloud;
 }
 
@@ -268,6 +293,81 @@ TEST(BoxFitTest, LengthIsAlwaysMajorAxis) {
   for (double y = -3; y <= 3; y += 0.1) cloud.Add({0, y, 0.5}, 0.5f);
   const geom::Box3 box = FitOrientedBox(cloud);
   EXPECT_GE(box.length, box.width);
+}
+
+TEST(BoxFitTest, WiderThanBoxImpliesOversizedFit) {
+  const SpodConfig cfg = MakeSparseSpodConfig();
+  const double max_l = cfg.max_length, max_w = cfg.max_width;
+  const double gate = std::sqrt(max_l * max_l + max_w * max_w) + 1e-6;
+  const auto oversized = [&](const pc::PointCloud& cluster) {
+    const geom::Box3 box = FitOrientedBox(cluster);
+    return box.length > max_l || box.width > max_w;
+  };
+  Rng rng(23);
+  int fired = 0;
+  // Thin walls and filled rectangles of the limits' aspect at every yaw,
+  // with diameters just below and just above the gate.
+  for (int deg = 0; deg < 180; ++deg) {
+    const double c = std::cos(geom::DegToRad(deg));
+    const double s = std::sin(geom::DegToRad(deg));
+    for (const double scale : {1.0 - 1e-5, 1.0 + 1e-5}) {
+      const double d = gate * scale;
+      const double cx = rng.Uniform(-40.0, 40.0);
+      const double cy = rng.Uniform(-40.0, 40.0);
+      const auto at = [&](double u, double v) {
+        return geom::Vec3{cx + c * u - s * v, cy + s * u + c * v, 0.5};
+      };
+      pc::PointCloud wall;
+      wall.Add(at(-0.5 * d, 0.0), 0.5f);
+      for (int i = 0; i < 200; ++i) {
+        wall.Add(at(rng.Uniform(-0.5, 0.5) * d, rng.Uniform(-5e-5, 5e-5)),
+                 0.5f);
+      }
+      wall.Add(at(0.5 * d, 0.0), 0.5f);
+      const double k = d / std::hypot(max_l, max_w);
+      const double hl = 0.5 * k * max_l, hw = 0.5 * k * max_w;
+      pc::PointCloud rect;
+      for (int i = 0; i < 200; ++i) {
+        rect.Add(at(rng.Uniform(-hl, hl), rng.Uniform(-hw, hw)), 0.5f);
+      }
+      for (const double u : {-hl, hl}) {
+        for (const double v : {-hw, hw}) rect.Add(at(u, v), 0.5f);
+      }
+      for (const pc::PointCloud* cluster : {&wall, &rect}) {
+        const bool gated = WiderThanBox(*cluster, max_l, max_w);
+        if (scale < 1.0) {
+          EXPECT_FALSE(gated) << "yaw " << deg;
+        } else if (cluster == &wall) {
+          EXPECT_TRUE(gated) << "yaw " << deg;
+        }
+        if (gated) {
+          ++fired;
+          EXPECT_TRUE(oversized(*cluster)) << "yaw " << deg;
+        }
+      }
+    }
+  }
+  // Seeded blobs around the gate's size: whenever the gate fires, so would
+  // the fit.
+  for (int i = 0; i < 300; ++i) {
+    const double yaw = rng.Uniform(0.0, 2.0 * 3.141592653589793);
+    const double a = rng.Uniform(2.5, 4.5), b = rng.Uniform(0.5, 2.5);
+    pc::PointCloud blob;
+    for (int j = 0; j < 150; ++j) {
+      const double t = rng.Uniform(0.0, 2.0 * 3.141592653589793);
+      const double rho = std::sqrt(rng.Uniform());
+      const double u = a * rho * std::cos(t), v = b * rho * std::sin(t);
+      blob.Add({10.0 + std::cos(yaw) * u - std::sin(yaw) * v,
+                -5.0 + std::sin(yaw) * u + std::cos(yaw) * v, 0.5},
+               0.5f);
+    }
+    if (WiderThanBox(blob, max_l, max_w)) {
+      ++fired;
+      EXPECT_TRUE(oversized(blob)) << "blob " << i;
+    }
+  }
+  EXPECT_GT(fired, 200);
+  EXPECT_FALSE(WiderThanBox(pc::PointCloud{}, max_l, max_w));
 }
 
 // The yaw search as one scalar loop per step — the box fit before it moved

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "pointcloud/point_cloud.h"
@@ -20,50 +21,62 @@ struct SphericalProjectionConfig {
   double azimuth_max_deg = 180.0;
 };
 
-/// Per-pixel channels of the projected image.
+/// Per-pixel channels of the projected image.  Plain floats with no
+/// initialisers, so the image's pixel storage is never zero-filled.
 struct RangePixel {
-  float range = 0.0f;        // metres; 0 when empty
-  float x = 0.0f, y = 0.0f, z = 0.0f;
-  float reflectance = 0.0f;
-  bool valid = false;
+  float range;  // metres
+  float x, y, z;
+  float reflectance;
 };
 
+/// A rows x cols range image.  Which pixels hold a return is a bitmap, one
+/// 64-bit word per 64 columns with each row starting on a new word; a
+/// pixel's channels are written when it becomes valid and are defined only
+/// while it is.
 class RangeImage {
  public:
   RangeImage(const SphericalProjectionConfig& config);
 
-  /// Projects `cloud` into the image; keeps the nearest point per pixel.
+  /// Projects `cloud` into the image; keeps the nearest point per pixel
+  /// (the first one on a tie).  Points with a non-finite coordinate or
+  /// reflectance are skipped.
   void Project(const PointCloud& cloud);
 
   const SphericalProjectionConfig& config() const { return config_; }
   int rows() const { return config_.rows; }
   int cols() const { return config_.cols; }
 
+  bool Valid(int r, int c) const {
+    return (valid_[Word(r, c)] >> (c % 64)) & 1;
+  }
+  /// The pixel's channels; defined only when `Valid(r, c)`.
   const RangePixel& At(int r, int c) const { return pixels_[Index(r, c)]; }
-  RangePixel& At(int r, int c) { return pixels_[Index(r, c)]; }
-
-  /// Fraction of pixels with a return.
-  double Fill() const;
+  /// Stores `px` at (r, c) and marks the pixel valid.
+  void Set(int r, int c, const RangePixel& px) {
+    pixels_[Index(r, c)] = px;
+    valid_[Word(r, c)] |= std::uint64_t{1} << (c % 64);
+  }
 
   /// Fills isolated empty pixels from valid 4-neighbours (median range) —
   /// the densification step used for sparse 16-beam input.
   void Densify(int max_passes = 1);
 
-  /// Back-projection: returns one point per valid pixel.
+  /// Back-projection: returns one point per valid pixel, in row-major order.
   PointCloud ToPointCloud() const;
 
  private:
   std::size_t Index(int r, int c) const {
     return static_cast<std::size_t>(r) * config_.cols + c;
   }
+  std::size_t Word(int r, int c) const {
+    return static_cast<std::size_t>(r) * words_per_row_ + c / 64;
+  }
   SphericalProjectionConfig config_;
-  std::vector<RangePixel> pixels_;
+  int words_per_row_;
+  // Bit c % 64 of word Word(r, c) is set when pixel (r, c) holds a return;
+  // the padding bits past the last column of a row are always 0.
+  std::vector<std::uint64_t> valid_;
+  std::unique_ptr<RangePixel[]> pixels_;
 };
-
-/// Simulates a lower-beam LiDAR from a higher-beam cloud by keeping every
-/// `factor`-th elevation band (e.g. 64 -> 16 beams with factor 4).  This is
-/// how the "4x more sparse" T&J-style clouds relate to KITTI-style ones.
-PointCloud DecimateBeams(const PointCloud& cloud, int factor,
-                         const SphericalProjectionConfig& config);
 
 }  // namespace cooper::pc

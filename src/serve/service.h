@@ -47,7 +47,8 @@ struct ServeConfig {
   int modeled_cores = 4;        // virtual compute servers (executor)
   int threads = 1;              // real threads for the fusion batch interior
   // Modeled fusion service time: base + per_point * (local + cooperator
-  // points).  Calibrated against the real pipeline in BENCH_serve.json.
+  // points).  Modeled constants set by the caller; nothing fits them to the
+  // real pipeline's cost.
   double base_service_us = 2000.0;
   double per_point_us = 10.0;
   // Housekeeping timer wheel: session expiry sweeps per vehicle.

@@ -384,7 +384,7 @@ TEST(RangeImageTest, ProjectsPointToExpectedPixel) {
   int valid = 0;
   for (int r = 0; r < img.rows(); ++r) {
     for (int col = 0; col < img.cols(); ++col) {
-      if (img.At(r, col).valid) {
+      if (img.Valid(r, col)) {
         ++valid;
         EXPECT_NEAR(img.At(r, col).range, 10.0f, 1e-4);
         EXPECT_EQ(col, img.cols() / 2);  // azimuth 0 in [-180, 180)
@@ -403,6 +403,15 @@ TEST(RangeImageTest, KeepsNearestPerPixel) {
   img.Project(c);
   EXPECT_NEAR(img.At(img.rows() / 2, img.cols() / 2).range, 5.0f, 1e-4);
   EXPECT_FLOAT_EQ(img.At(img.rows() / 2, img.cols() / 2).reflectance, 0.9f);
+
+  // An exact tie in range keeps the first point.
+  PointCloud tie;
+  tie.Add({6, 0, 0}, 0.3f);
+  tie.Add({6, 0, 0}, 0.7f);
+  img.Project(tie);
+  EXPECT_FLOAT_EQ(img.At(img.rows() / 2, img.cols() / 2).range, 6.0f);
+  EXPECT_FLOAT_EQ(img.At(img.rows() / 2, img.cols() / 2).reflectance, 0.3f);
+  EXPECT_EQ(img.ToPointCloud().size(), 1u);
 }
 
 TEST(RangeImageTest, OutOfFovIgnored) {
@@ -410,7 +419,7 @@ TEST(RangeImageTest, OutOfFovIgnored) {
   PointCloud c;
   c.Add({1, 0, 10}, 0.0f);  // elevation ~84 deg, outside +-15
   img.Project(c);
-  EXPECT_DOUBLE_EQ(img.Fill(), 0.0);
+  EXPECT_TRUE(img.ToPointCloud().empty());
 }
 
 TEST(RangeImageTest, BackProjectionPreservesValidPoints) {
@@ -430,7 +439,7 @@ TEST(RangeImageTest, BackProjectionPreservesValidPoints) {
   // One point per valid pixel, each exactly equal to some input point.
   std::size_t valid = 0;
   for (int r = 0; r < img.rows(); ++r)
-    for (int col = 0; col < img.cols(); ++col) valid += img.At(r, col).valid;
+    for (int col = 0; col < img.cols(); ++col) valid += img.Valid(r, col);
   EXPECT_EQ(back.size(), valid);
   EXPECT_GT(back.size(), 100u);
 }
@@ -441,49 +450,22 @@ TEST(RangeImageTest, DensifyFillsSupportedHoles) {
   for (int r = 5; r <= 9; ++r) {
     for (int c = 20; c <= 24; ++c) {
       if (r == 7 && c == 22) continue;
-      auto& px = img.At(r, c);
-      px.valid = true;
-      px.range = 10.0f;
-      px.x = 10.0f;
+      img.Set(r, c, {10.0f, 10.0f, 0.0f, 0.0f, 0.0f});
     }
   }
-  EXPECT_FALSE(img.At(7, 22).valid);
+  EXPECT_FALSE(img.Valid(7, 22));
   img.Densify(1);
-  EXPECT_TRUE(img.At(7, 22).valid);
+  EXPECT_TRUE(img.Valid(7, 22));
   EXPECT_NEAR(img.At(7, 22).range, 10.0f, 1e-5);
 }
 
 TEST(RangeImageTest, DensifyLeavesUnsupportedHoles) {
   RangeImage img(SmallProjection());
-  auto& px = img.At(3, 3);  // a single isolated valid pixel
-  px.valid = true;
-  px.range = 5.0f;
+  img.Set(3, 3, {5.0f, 0.0f, 0.0f, 0.0f, 0.0f});  // a single isolated pixel
   img.Densify(2);
   // Neighbours have at most one valid neighbour each -> not filled.
-  EXPECT_FALSE(img.At(3, 4).valid);
-  EXPECT_FALSE(img.At(2, 3).valid);
-}
-
-TEST(DecimateBeamsTest, ReducesDensityByFactor) {
-  Rng rng(6);
-  SphericalProjectionConfig cfg;
-  cfg.rows = 64;
-  cfg.cols = 512;
-  cfg.fov_up_deg = 2.0;
-  cfg.fov_down_deg = -24.8;
-  PointCloud c;
-  for (int i = 0; i < 20000; ++i) {
-    const double az = rng.Uniform(-3.1, 3.1);
-    const double el = rng.Uniform(geom::DegToRad(-24.0), geom::DegToRad(1.5));
-    const double r = rng.Uniform(2.0, 60.0);
-    c.Add({r * std::cos(el) * std::cos(az), r * std::cos(el) * std::sin(az),
-           r * std::sin(el)},
-          0.5f);
-  }
-  const PointCloud thin = DecimateBeams(c, 4, cfg);
-  const double ratio = static_cast<double>(thin.size()) / c.size();
-  EXPECT_NEAR(ratio, 0.25, 0.05);  // keeps every 4th beam row
-  EXPECT_EQ(DecimateBeams(c, 1, cfg).size(), c.size());
+  EXPECT_FALSE(img.Valid(3, 4));
+  EXPECT_FALSE(img.Valid(2, 3));
 }
 
 // --- KITTI I/O ---

@@ -29,6 +29,7 @@
 #include "eval/experiment.h"
 #include "feat/planner.h"
 #include "net/serialize.h"
+#include "obs/trace.h"
 #include "sim/lidar.h"
 #include "sim/scenario.h"
 
@@ -93,10 +94,6 @@ core::CooperativeSession MakeLoadedSession(feat::ExchangeLevel level,
   return session;
 }
 
-double FusionMs(const core::CooperOutput& out) {
-  return (out.stages.Us("reconstruct") + out.stages.Us("merge")) / 1e3;
-}
-
 struct SweepRow {
   feat::ExchangeLevel level = feat::ExchangeLevel::kRoiCloud;
   std::size_t peers = 0;
@@ -120,12 +117,16 @@ SweepRow RunSweep(feat::ExchangeLevel level, std::size_t peers) {
   const std::size_t per_peer = peers > 0 ? row.payload_bytes / peers : 0;
   row.airtime_ms = static_cast<double>(peers) * feat::AirtimeMs(channel, per_peer);
   (void)session.DetectCooperative(f.clouds[0], f.navs[0], 10.0);
+  // The steady frame's stage times, read from its obs spans.
+  obs::Tracer& tracer = obs::Tracer::Global();
+  tracer.Clear();
   const core::CooperOutput out =
       session.DetectCooperative(f.clouds[0], f.navs[0], 10.05);
   row.fused_points = out.fused_cloud.size();
   row.detections = out.fused.detections.size();
-  row.fusion_ms = FusionMs(out);
-  row.detect_ms = out.stages.Us("detect") / 1e3;
+  row.fusion_ms = (tracer.TotalUs("session.reconstruct") +
+                   tracer.TotalUs("session.merge")) / 1e3;
+  row.detect_ms = tracer.TotalUs("spod.detect") / 1e3;
   return row;
 }
 
@@ -251,6 +252,8 @@ int main(int argc, char** argv) {
   }
   std::printf("Cooper extension — feature-level exchange (%s mode)\n\n",
               smoke ? "smoke" : "timed");
+  // The timed mode reads stage times from the pipeline's obs spans.
+  if (!smoke) obs::SetEnabled(true);
 
   std::vector<SweepRow> rows;
   std::vector<PlannerRow> planner_rows;

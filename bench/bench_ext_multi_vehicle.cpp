@@ -33,6 +33,7 @@
 #include "core/session.h"
 #include "eval/experiment.h"
 #include "eval/matching.h"
+#include "obs/trace.h"
 #include "sim/lidar.h"
 #include "sim/scenario.h"
 
@@ -110,11 +111,23 @@ core::CooperativeSession MakeLoadedSession(std::size_t peers, int threads,
   return session;
 }
 
-// Fusion cost of one frame: everything DetectCooperative does *before* the
-// shared detector pass (reconstruct + merge) — the part the cache and the
-// parallel fan-out address.  The detect stage is reported separately.
-double FusionMs(const core::CooperOutput& out) {
-  return (out.stages.Us("reconstruct") + out.stages.Us("merge")) / 1e3;
+// Stage times of one receiver frame, read from its obs spans.  Fusion is
+// everything DetectCooperative does *before* the shared detector pass
+// (reconstruct + merge) — the part the cache and the parallel fan-out
+// address.  The detect stage is reported separately.
+struct FrameMs {
+  double fusion = 0.0;
+  double detect = 0.0;
+};
+
+FrameMs TimedFrame(core::CooperativeSession& session, double now_s) {
+  const Fleet& f = MakeFleet();
+  obs::Tracer& tracer = obs::Tracer::Global();
+  tracer.Clear();
+  (void)session.DetectCooperative(f.clouds[0], f.navs[0], now_s);
+  return {(tracer.TotalUs("session.reconstruct") +
+           tracer.TotalUs("session.merge")) / 1e3,
+          tracer.TotalUs("spod.detect") / 1e3};
 }
 
 struct SweepRow {
@@ -140,10 +153,7 @@ SweepRow RunSweep(std::size_t peers, int threads, int frames) {
   core::CooperativeSession cached = MakeLoadedSession(peers, threads, true);
   core::CooperativeSession uncached = MakeLoadedSession(peers, threads, false);
   // Frame 0 is the cold frame: every lane reconstructs.
-  {
-    const auto out = cached.DetectCooperative(f.clouds[0], f.navs[0], 10.0);
-    row.cold_fusion_ms = FusionMs(out);
-  }
+  row.cold_fusion_ms = TimedFrame(cached, 10.0).fusion;
   (void)uncached.DetectCooperative(f.clouds[0], f.navs[0], 10.0);
   // Steady state: the cooperators' packages are unchanged frame to frame.
   double cached_sum = 0.0;
@@ -151,11 +161,10 @@ SweepRow RunSweep(std::size_t peers, int threads, int frames) {
   double detect_sum = 0.0;
   for (int i = 1; i <= frames; ++i) {
     const double now_s = 10.0 + 0.05 * i;
-    const auto out = cached.DetectCooperative(f.clouds[0], f.navs[0], now_s);
-    cached_sum += FusionMs(out);
-    detect_sum += out.stages.Us("detect") / 1e3;
-    uncached_sum +=
-        FusionMs(uncached.DetectCooperative(f.clouds[0], f.navs[0], now_s));
+    const FrameMs frame = TimedFrame(cached, now_s);
+    cached_sum += frame.fusion;
+    detect_sum += frame.detect;
+    uncached_sum += TimedFrame(uncached, now_s).fusion;
   }
   row.steady_cached_ms = cached_sum / frames;
   row.steady_uncached_ms = uncached_sum / frames;
@@ -243,6 +252,8 @@ int main(int argc, char** argv) {
   }
   std::printf("Cooper extension — multi-vehicle session fusion (%s mode)\n\n",
               smoke ? "smoke" : "timed");
+  // The timed mode reads stage times from the pipeline's obs spans.
+  if (!smoke) obs::SetEnabled(true);
 
   // Smoke is the correctness mode: bit-identity only, no timing sweep (the
   // sweep's full-resolution detect passes are far too slow under the
@@ -334,10 +345,12 @@ int main(int argc, char** argv) {
       volume_mbit += package.PayloadMbit();
       COOPER_CHECK(session.ReceivePackage(package, 0.0).ok());
     }
+    obs::Tracer::Global().Clear();
     const auto out = session.DetectCooperative(f.clouds[0], f.navs[0], 0.0);
     table.AddRow({std::to_string(k), std::to_string(out.fused_cloud.size()),
                   std::to_string(MatchedCount(out.fused, f.gt)),
-                  FormatFixed(out.fused.timings.TotalUs() / 1e3, 1),
+                  FormatFixed(obs::Tracer::Global().TotalUs("spod.detect") /
+                                  1e3, 1),
                   FormatFixed(volume_mbit, 2)});
   }
   std::printf("%s\n", table.ToString().c_str());

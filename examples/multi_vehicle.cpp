@@ -13,6 +13,7 @@
 #include "net/auth.h"
 #include "net/dsrc.h"
 #include "net/serialize.h"
+#include "obs/trace.h"
 #include "sim/lidar.h"
 #include "sim/scenario.h"
 
@@ -100,10 +101,17 @@ int main() {
 
   // The next frame arrives before anyone rebroadcast: every cooperator's
   // reconstruction is served from the session cache, so fusion cost drops to
-  // a merge while the output stays bit-identical.
-  const auto next = session.DetectCooperative(clouds[0], navs[0], 1.3);
-  std::printf("\nnext frame (unchanged cooperators): fusion %s\n",
-              next.stages.Summary().c_str());
+  // a merge while the output stays bit-identical.  Stage times come from the
+  // pipeline's obs spans.
+  obs::SetEnabled(true);
+  obs::Tracer& tracer = obs::Tracer::Global();
+  tracer.Clear();
+  (void)session.DetectCooperative(clouds[0], navs[0], 1.3);
+  std::printf("\nnext frame (unchanged cooperators): reconstruct %.1f ms | "
+              "merge %.1f ms | detect %.1f ms\n",
+              tracer.TotalUs("session.reconstruct") / 1e3,
+              tracer.TotalUs("session.merge") / 1e3,
+              tracer.TotalUs("spod.detect") / 1e3);
   std::printf("reconstruction cache: %zu hits, %zu misses\n",
               session.stats().recon_cache_hits,
               session.stats().recon_cache_misses);

@@ -149,23 +149,21 @@ Result<CooperOutput> CooperPipeline::DetectCooperative(
     const ExchangePackage& package) const {
   obs::Span span("cooper.detect_cooperative", "core");
   COOPER_COUNT("cooper.cooperative_detections");
-  common::StageTimer timer;
   COOPER_ASSIGN_OR_RETURN(pc::PointCloud remote,
                           ReconstructRemoteCloud(local_nav, package));
-  timer.Lap("reconstruct");
   if (config_.icp_refinement) {
+    obs::Span icp_span("cooper.icp", "core");
     remote = RefineAlignment(std::move(remote), IcpTarget(local_cloud),
                              &icp_scratch_);
-    timer.Lap("icp");
   }
   CooperOutput out;
   out.transmitter_points = remote.size();
-  out.fused_cloud = detector_.Densify(local_cloud);  // local viewpoint
-  out.fused_cloud.Merge(remote);           // Eq. 2: union of both clouds
-  timer.Lap("merge");
+  {
+    obs::Span merge_span("cooper.merge", "core");
+    out.fused_cloud = detector_.Densify(local_cloud);  // local viewpoint
+    out.fused_cloud.Merge(remote);  // Eq. 2: union of both clouds
+  }
   out.fused = detector_.DetectPreprocessed(out.fused_cloud);
-  timer.Lap("detect");
-  out.stages = timer;
   return out;
 }
 

@@ -10,7 +10,6 @@
 #include <optional>
 #include <string>
 
-#include "common/timer.h"
 #include "core/exchange.h"
 #include "core/roi.h"
 #include "net/transport.h"
@@ -69,9 +68,6 @@ struct CooperOutput {
   spod::SpodResult fused;              // detection on the merged cloud
   pc::PointCloud fused_cloud;          // receiver frame
   std::size_t transmitter_points = 0;  // points contributed by the package
-  // Pipeline-level wall-clock breakdown: reconstruct / icp / merge / detect
-  // (the detect stage's internal split lives in fused.timings).
-  common::StageTimer stages;
 };
 
 class CooperPipeline {

@@ -1,6 +1,7 @@
 #include "core/session.h"
 
 #include <cmath>
+#include <optional>
 #include <utility>
 
 #include "common/thread_pool.h"
@@ -242,7 +243,7 @@ CooperOutput CooperativeSession::DetectCooperative(
   obs::Span span("session.detect_cooperative", "core");
   ExpireOld(now_s);
   ExpireStaleReassembly(now_s);
-  common::StageTimer timer;
+  std::optional<obs::Span> stage(std::in_place, "session.reconstruct", "core");
 
   // Plan one lane per held package (ascending sender id — the merge order).
   // A hit contributes its cached ego-frame cloud untouched; a miss records
@@ -377,8 +378,8 @@ CooperOutput CooperativeSession::DetectCooperative(
           }
         });
   }
-  timer.Lap("reconstruct");
 
+  stage.emplace("session.merge", "core");
   CooperOutput out;
   out.fused_cloud = pipeline_.detector().Densify(local_cloud);
   for (const Lane& lane : lanes) {
@@ -396,10 +397,8 @@ CooperOutput CooperativeSession::DetectCooperative(
     out.transmitter_points += remote.size();
     out.fused_cloud.Merge(remote);
   }
-  timer.Lap("merge");
+  stage.reset();
   out.fused = pipeline_.detector().DetectPreprocessed(out.fused_cloud);
-  timer.Lap("detect");
-  out.stages = timer;
   return out;
 }
 

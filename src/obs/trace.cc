@@ -188,6 +188,19 @@ void Tracer::Clear() {
   }
 }
 
+double Tracer::TotalUs(std::string_view name) const {
+  BufferRegistry& registry = Registry();
+  std::lock_guard<std::mutex> lock(registry.mu);
+  double total = 0.0;
+  for (const auto& buffer : registry.buffers) {
+    std::lock_guard<std::mutex> buffer_lock(buffer->mu);
+    for (const TraceEvent& e : buffer->events) {
+      if (e.name == name && e.category != "parallel") total += e.dur_us;
+    }
+  }
+  return total;
+}
+
 std::size_t Tracer::event_count() const {
   BufferRegistry& registry = Registry();
   std::lock_guard<std::mutex> lock(registry.mu);

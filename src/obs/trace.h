@@ -23,9 +23,8 @@
 
 namespace cooper::obs {
 
-/// Microseconds since the process-wide trace epoch (steady clock).  All
-/// trace timestamps — and, after the fold, common::StageTimer laps — read
-/// this one clock.
+/// Microseconds since the process-wide trace epoch (steady clock).  Every
+/// trace timestamp reads this one clock.
 double TraceNowUs();
 
 /// Small dense id of the calling thread (0 = first thread that touched the
@@ -57,6 +56,13 @@ class Tracer {
 
   /// Drops all buffered events (thread registrations survive).
   void Clear();
+
+  /// Summed duration, microseconds, of every buffered span named `name`,
+  /// on every thread.  The "parallel" copies ThreadPool re-opens on its
+  /// participants are skipped, so a ParallelFor stage counts once.  This is
+  /// how benches and tools read stage times: Clear(), run, then TotalUs().
+  /// 0 when no such span is buffered, as while the layer is disabled.
+  double TotalUs(std::string_view name) const;
 
   std::size_t event_count() const;
   /// Events discarded because a thread buffer hit its cap.

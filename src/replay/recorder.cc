@@ -1,15 +1,26 @@
 #include "replay/recorder.h"
 
+#include "pointcloud/point_cloud.h"
+#include "pointcloud/voxel_grid.h"
+#include "replay/replayer.h"
+
 namespace cooper::replay {
 
-StepDigest MakeStepDigest(double timestamp_s, const core::CooperOutput& output) {
+std::uint32_t FusedVoxelCount(const pc::PointCloud& fused_cloud,
+                              const spod::SpodConfig& detector) {
+  return static_cast<std::uint32_t>(pc::CountOccupiedVoxels(
+      pc::AboveGround(fused_cloud, detector.ground_margin), detector.voxel));
+}
+
+StepDigest MakeStepDigest(double timestamp_s, const core::CooperOutput& output,
+                          const spod::SpodConfig& detector) {
   StepDigest d;
   d.timestamp_s = timestamp_s;
   d.num_detections = static_cast<std::uint32_t>(output.fused.detections.size());
   d.detections_digest = DigestDetections(output.fused.detections);
   d.fused_points = static_cast<std::uint32_t>(output.fused_cloud.size());
   d.fused_digest = DigestCloud(output.fused_cloud);
-  d.num_voxels = static_cast<std::uint32_t>(output.fused.num_voxels);
+  d.num_voxels = FusedVoxelCount(output.fused_cloud, detector);
   d.transmitter_points = static_cast<std::uint32_t>(output.transmitter_points);
   return d;
 }
@@ -27,7 +38,8 @@ std::uint64_t ChainStepDigest(std::uint64_t combined, const StepDigest& step) {
   return h;
 }
 
-TraceRecorder::TraceRecorder(const TraceConfig& config) {
+TraceRecorder::TraceRecorder(const TraceConfig& config)
+    : detector_(MakeReplayCooperConfig(config, {}).detector) {
   writer_.AppendConfig(config);
 }
 
@@ -83,7 +95,7 @@ StepDigest TraceRecorder::RecordStep(double timestamp_s, std::uint32_t scan_id,
   detect.scan_id = scan_id;
   detect.nav = nav;
   writer_.AppendDetect(detect);
-  const StepDigest digest = MakeStepDigest(timestamp_s, output);
+  const StepDigest digest = MakeStepDigest(timestamp_s, output, detector_);
   writer_.AppendStepDigest(digest);
   combined_digest_ = ChainStepDigest(combined_digest_, digest);
   ++step_count_;

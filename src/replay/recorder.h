@@ -26,8 +26,18 @@
 
 namespace cooper::replay {
 
+/// Occupied voxels of the above-ground part of `fused_cloud` on the
+/// detector's grid: `CountOccupiedVoxels(AboveGround(fused_cloud,
+/// ground_margin), voxel)`.  A step digest's `num_voxels`.  Detection does not
+/// compute this count; recorder and replayer do, from the trace's detector
+/// config (`MakeReplayCooperConfig(config, {}).detector`).
+std::uint32_t FusedVoxelCount(const pc::PointCloud& fused_cloud,
+                              const spod::SpodConfig& detector);
+
 /// Golden digest of one CooperOutput, the unit of replay verification.
-StepDigest MakeStepDigest(double timestamp_s, const core::CooperOutput& output);
+/// `detector` is the config the output was detected under.
+StepDigest MakeStepDigest(double timestamp_s, const core::CooperOutput& output,
+                          const spod::SpodConfig& detector);
 
 /// Chains one step digest into the running end-of-trace digest.
 std::uint64_t ChainStepDigest(std::uint64_t combined, const StepDigest& step);
@@ -68,6 +78,7 @@ class TraceRecorder {
 
  private:
   TraceWriter writer_;
+  spod::SpodConfig detector_;  // the recorded run's, for FusedVoxelCount
   std::uint32_t next_scan_id_ = 0;
   std::uint32_t step_count_ = 0;
   std::uint64_t combined_digest_ = 0xcbf29ce484222325ull;

@@ -166,7 +166,7 @@ ReplayResult Replay(const Trace& trace, const ReplayOverrides& overrides) {
             session.DetectCooperative(scan, event.detect.nav, event.time_s);
         StepOutcome step;
         step.golden = event.golden;
-        step.computed = MakeStepDigest(event.time_s, out);
+        step.computed = MakeStepDigest(event.time_s, out, cfg.detector);
         step.detections = std::move(out.fused.detections);
         step.matches_golden =
             step.computed.num_detections == step.golden.num_detections &&

@@ -13,15 +13,17 @@ void Scheduler::At(double at_s, Fn fn) {
   event.at_s = std::max(at_s, now_s_);
   event.seq = next_seq_++;
   event.fn = std::move(fn);
-  heap_.push(std::move(event));
+  heap_.push_back(std::move(event));
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 
 std::size_t Scheduler::RunUntil(double horizon_s) {
   std::size_t executed = 0;
-  while (!heap_.empty() && heap_.top().at_s <= horizon_s) {
-    // Copy out before pop: the handler may schedule (mutating the heap).
-    Event event = heap_.top();
-    heap_.pop();
+  while (!heap_.empty() && heap_.front().at_s <= horizon_s) {
+    // Move out before running: the handler may schedule (mutating the heap).
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    Event event = std::move(heap_.back());
+    heap_.pop_back();
     now_s_ = event.at_s;
     event.fn(now_s_);
     ++executed;

@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <queue>
 #include <vector>
 
 namespace cooper::serve {
@@ -57,7 +56,10 @@ class Scheduler {
     }
   };
 
-  std::priority_queue<Event, std::vector<Event>, Later> heap_;
+  // A binary min-heap under `Later`, kept with std::push_heap/pop_heap so
+  // RunUntil can move each event (and its closure's captures) out; a
+  // priority_queue only exposes a const top, which forces a copy.
+  std::vector<Event> heap_;
   std::uint64_t next_seq_ = 0;
   double now_s_ = 0.0;
 };

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
-#include "common/timer.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "spod/clustering.h"
@@ -116,12 +116,8 @@ pc::PointCloud SpodDetector::Densify(const pc::PointCloud& cloud) const {
 SpodResult SpodDetector::Detect(const pc::PointCloud& input) const {
   if (!config_.densify_sparse_input) return DetectPreprocessed(input);
   obs::Span span("spod.detect", "spod");
-  common::StageTimer timer;
-  const pc::PointCloud densified = Densify(input);
-  const double densify_us = timer.Lap("densify");
-  SpodResult result = DetectPreprocessed(densified);
+  SpodResult result = RunStages(Densify(input));
   result.num_input_points = input.size();
-  result.timings.preprocess_us += densify_us;
   return result;
 }
 
@@ -145,23 +141,26 @@ feat::FeatureMap SpodDetector::ExtractFeatureMap(
 
 SpodResult SpodDetector::DetectPreprocessed(const pc::PointCloud& input) const {
   obs::Span span("spod.detect", "spod");
+  return RunStages(input);
+}
+
+SpodResult SpodDetector::RunStages(const pc::PointCloud& input) const {
   SpodResult result;
   result.num_input_points = input.size();
   COOPER_COUNT_N("spod.input_points", input.size());
-  common::StageTimer timer;
   PipelineScratch& sc = scratch_;
 
   // --- Stage 1: preprocessing (invalid-point removal, ground cut). ---
+  std::optional<obs::Span> stage(std::in_place, "spod.preprocess", "spod");
   const pc::PointCloud above = pc::AboveGround(input, config_.ground_margin);
-  result.timings.preprocess_us = timer.Lap("preprocess");
 
-  // --- Stage 2: the occupied-voxel count. ---
-  result.num_voxels = pc::CountOccupiedVoxels(above, config_.voxel);
-  result.timings.voxelize_us = timer.Lap("voxelize");
-
-  // --- Stage 3: proposals, confidence, NMS. ---
+  // --- Stage 2: BEV clustering. ---
+  stage.emplace("spod.cluster", "spod");
   auto clusters = ClusterPoints(above, config_.cluster_merge_radius,
                                 config_.min_cluster_points, &sc.cluster);
+
+  // --- Stage 3: proposals (split, score, pair), NMS. ---
+  stage.emplace("spod.proposals", "spod");
   auto score_cluster = [this](const pc::PointCloud& points,
                               const geom::Box3& fitted,
                               Detection* out) -> bool {
@@ -306,8 +305,7 @@ SpodResult SpodDetector::DetectPreprocessed(const pc::PointCloud& input) const {
   // detections ("X" cells need the sub-threshold score to exist); keep all.
   result.detections.reserve(kept.size());
   for (auto& k : kept) result.detections.push_back(k.det);
-  result.timings.proposals_us = timer.Lap("proposals");
-  COOPER_COUNT_N("spod.voxels", result.num_voxels);
+  stage.reset();
   COOPER_COUNT_N("spod.detections", result.detections.size());
   return result;
 }

@@ -1,12 +1,13 @@
 // SPOD — Sparse Point-cloud Object Detection (paper §III, Fig. 1).
 //
-// Detection stages:
-//   1. preprocessing      — invalid-point removal, spherical-projection
-//                           densification for sparse input [27], ground cut;
-//   2. voxel count        — the occupied-voxel count reported per frame;
-//   3. proposals + score  — BEV clustering, oriented-box fit and completion,
-//                           evidence-calibrated confidence (DESIGN.md §4.3),
-//                           NMS and thresholding.
+// Detection stages, each timed by an obs span inside `spod.detect`:
+//   1. preprocessing (`spod.preprocess`) — invalid-point removal and the
+//      ground cut, after spherical-projection densification of sparse input
+//      [27] (`spod.densify`, single-origin Detect only);
+//   2. clustering (`spod.cluster`) — BEV clustering of above-ground points;
+//   3. proposals (`spod.proposals`) — oversized-cluster split, oriented-box
+//      fit and completion, evidence-calibrated confidence (DESIGN.md §4.3),
+//      opposite-face pairing and NMS.
 // The paper's learned sparse-conv middle layers and RPN head are not
 // modelled: detections come from the clustered above-ground points.  The
 // VFE encoder [31] survives only as the sender-side feature tap
@@ -28,21 +29,9 @@
 
 namespace cooper::spod {
 
-/// Per-stage wall-clock cost of one Detect() call, microseconds (recorded
-/// with common::StageTimer; CooperPipeline::DetectCooperative layers its
-/// own reconstruct/icp/merge/detect laps on top).
-struct StageTimings {
-  double preprocess_us = 0.0;
-  double voxelize_us = 0.0;
-  double proposals_us = 0.0;
-  double TotalUs() const { return preprocess_us + voxelize_us + proposals_us; }
-};
-
 struct SpodResult {
   std::vector<Detection> detections;
-  StageTimings timings;
   std::size_t num_input_points = 0;
-  std::size_t num_voxels = 0;
 };
 
 class SpodDetector {
@@ -94,6 +83,10 @@ class SpodDetector {
     nn::VoxelFeatureEncoder vfe;
   };
   static Net MakeNet(std::uint64_t seed);
+
+  // DetectPreprocessed's stages, without its enclosing `spod.detect` span
+  // (Detect opens that span around densify too).
+  SpodResult RunStages(const pc::PointCloud& cloud) const;
 
   SpodConfig config_;
   SensorResolution sensor_;

@@ -13,7 +13,6 @@
 #include "common/status.h"
 #include "common/table.h"
 #include "common/thread_pool.h"
-#include "common/timer.h"
 
 namespace cooper {
 namespace {
@@ -332,30 +331,6 @@ TEST(ThreadPoolTest, ResolveThreadsSemantics) {
   EXPECT_GE(common::ResolveThreads(-3), 1);
   EXPECT_EQ(common::ResolveThreads(1), 1);
   EXPECT_EQ(common::ResolveThreads(6), 6);
-}
-
-// --- StageTimer ---
-
-TEST(StageTimerTest, LapsAccumulateInFirstRecordedOrder) {
-  common::StageTimer timer;
-  timer.Lap("a");
-  timer.Lap("b");
-  timer.Lap("a");
-  ASSERT_EQ(timer.laps().size(), 2u);
-  EXPECT_EQ(timer.laps()[0].first, "a");
-  EXPECT_EQ(timer.laps()[1].first, "b");
-  EXPECT_GE(timer.Us("a"), 0.0);
-  EXPECT_EQ(timer.Us("missing"), 0.0);
-  EXPECT_NEAR(timer.TotalUs(), timer.Us("a") + timer.Us("b"), 1e-9);
-  EXPECT_NE(timer.Summary().find("a "), std::string::npos);
-}
-
-TEST(StageTimerTest, ResetClears) {
-  common::StageTimer timer;
-  timer.Lap("x");
-  timer.Reset();
-  EXPECT_TRUE(timer.laps().empty());
-  EXPECT_EQ(timer.TotalUs(), 0.0);
 }
 
 // --- Logging ---

@@ -140,7 +140,7 @@ TEST(ObsPipelineTest, TwoVehicleTraceIsValidAndNested) {
        {"lidar.scan", "cooper.make_package", "codec.encode",
         "transport.fragment", "session.receive_frame", "session.receive_wire",
         "codec.decode", "session.detect_cooperative", "cooper.reconstruct",
-        "spod.detect"}) {
+        "spod.detect", "spod.preprocess", "spod.cluster", "spod.proposals"}) {
     EXPECT_NE(FindEvent(*events, name), nullptr)
         << "missing span: " << name;
   }
@@ -208,12 +208,17 @@ TEST(ObsPipelineTest, TwoVehicleTraceIsValidAndNested) {
   // seeds the reconstruction cache, so fusion never decodes it again.
   EXPECT_EQ(counter("codec.points_decoded"), counter("codec.points_encoded"));
   EXPECT_GT(counter("spod.input_points"), 0u);
-  // Stage histograms exist for the StageTimer laps.
-  bool saw_stage_histogram = false;
+  // Stage times are spans, not histograms: the session's reconstruct and
+  // merge stages sit inside its fused pass (the detector's stages are
+  // checked in spod_test).
   for (const auto& h : snapshot.histograms) {
-    if (h.name.rfind("stage.", 0) == 0) saw_stage_histogram = true;
+    EXPECT_NE(h.name.rfind("stage.", 0), 0u) << h.name;
   }
-  EXPECT_TRUE(saw_stage_histogram);
+  for (const char* stage : {"session.reconstruct", "session.merge"}) {
+    ExpectNested(FindEvent(*events, "session.detect_cooperative"),
+                 FindEvent(*events, stage), stage);
+    EXPECT_GT(obs::Tracer::Global().TotalUs(stage), 0.0) << stage;
+  }
 
   obs::SetEnabled(false);
 }

@@ -404,6 +404,58 @@ TEST_F(ObsTest, ParallelForHammerIsRaceFree) {
             640u);
 }
 
+TEST_F(ObsTest, TotalUsSumsSpansByName) {
+  obs::Tracer& tracer = obs::Tracer::Global();
+  tracer.Emit("test.stage", "test", 0.0, 5.0);
+  tracer.Emit("test.stage", "test", 10.0, 7.0);
+  tracer.Emit("test.other", "test", 0.0, 100.0);
+  tracer.Emit("test.stage", "parallel", 0.0, 100.0);  // a worker's copy
+  EXPECT_DOUBLE_EQ(tracer.TotalUs("test.stage"), 12.0);
+  EXPECT_DOUBLE_EQ(tracer.TotalUs("test.missing"), 0.0);
+  {
+    obs::Span outer("test.outer", "test");
+    obs::Span inner("test.inner", "test");
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  // A nested span counts in both its own name and its parent's.
+  EXPECT_GT(tracer.TotalUs("test.inner"), 0.0);
+  EXPECT_GE(tracer.TotalUs("test.outer"), tracer.TotalUs("test.inner"));
+}
+
+TEST_F(ObsTest, TotalUsCountsParallelForStageOnce) {
+  obs::Tracer& tracer = obs::Tracer::Global();
+  const double t0 = obs::TraceNowUs();
+  {
+    obs::Span span("test.parallel_total", "test");
+    common::ParallelFor(4, 0, 8, 1, [](std::size_t, std::size_t) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    });
+  }
+  const double wall_us = obs::TraceNowUs() - t0;
+  // The caller re-opens the span as a "parallel" copy too, so the name has
+  // at least two events; only the stage itself may count.
+  EXPECT_GE(tracer.event_count(), 2u);
+  const double total = tracer.TotalUs("test.parallel_total");
+  EXPECT_GT(total, 0.0);
+  EXPECT_LE(total, wall_us);
+}
+
+TEST_F(ObsTest, TotalUsIsZeroAfterClearAndWhileDisabled) {
+  obs::Tracer& tracer = obs::Tracer::Global();
+  {
+    obs::Span span("test.total", "test");
+  }
+  EXPECT_GT(tracer.event_count(), 0u);
+  tracer.Clear();
+  EXPECT_EQ(tracer.TotalUs("test.total"), 0.0);
+  obs::SetEnabled(false);
+  {
+    obs::Span span("test.total", "test");
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(tracer.TotalUs("test.total"), 0.0);
+}
+
 TEST_F(ObsTest, ClearDropsEvents) {
   {
     obs::Span span("test.cleared", "test");

@@ -53,6 +53,36 @@ TEST(SchedulerTest, HorizonSplitsEventStream) {
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
+TEST(SchedulerTest, RunUntilMovesEventsWithoutCopying) {
+  // A copy-counting callable: each dispatch must move the event (and the
+  // state its closure captured) out of the heap, never copy it.
+  struct CopyCounter {
+    int* copies;
+    int id;
+    std::vector<int>* order;
+    CopyCounter(int* c, int i, std::vector<int>* o)
+        : copies(c), id(i), order(o) {}
+    CopyCounter(const CopyCounter& other)
+        : copies(other.copies), id(other.id), order(other.order) {
+      ++*copies;
+    }
+    CopyCounter(CopyCounter&&) = default;
+    void operator()(double) const { order->push_back(id); }
+  };
+  Scheduler sched;
+  int copies = 0;
+  std::vector<int> order;
+  // Same-time events keep FIFO order among the rest.
+  for (int id = 0; id < 12; ++id) {
+    sched.At(id % 3 == 0 ? 0.5 : 0.1 * (id % 4),
+             CopyCounter(&copies, id, &order));
+  }
+  const int copies_before = copies;
+  EXPECT_EQ(sched.RunUntil(1.0), 12u);
+  EXPECT_EQ(copies, copies_before);
+  EXPECT_EQ(order, (std::vector<int>{4, 8, 1, 5, 2, 10, 7, 11, 0, 3, 6, 9}));
+}
+
 // --- Timer wheel ---
 
 TEST(TimerWheelTest, FiresDueTimersInSlotThenIdOrder) {

@@ -3,11 +3,16 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/simd.h"
+#include "obs/json.h"
+#include "obs/trace.h"
+#include "pointcloud/voxel_grid.h"
+#include "replay/recorder.h"
 #include "sim/lidar.h"
 #include "sim/scene.h"
 #include "spod/clustering.h"
@@ -609,7 +614,8 @@ TEST(DetectorTest, RejectsLongWall) {
 TEST(DetectorTest, EmptyCloudYieldsNoDetections) {
   const auto result = DenseDetector().Detect(pc::PointCloud{});
   EXPECT_TRUE(result.detections.empty());
-  EXPECT_EQ(result.num_voxels, 0u);
+  EXPECT_EQ(replay::FusedVoxelCount(pc::PointCloud{}, MakeDenseSpodConfig()),
+            0u);
 }
 
 TEST(DetectorTest, NanPointsAreTolerated) {
@@ -685,7 +691,6 @@ TEST(DetectorTest, ScratchReuseIsBitIdentical) {
 
   auto expect_same = [](const SpodResult& want, const SpodResult& got,
                         const std::string& what) {
-    EXPECT_EQ(got.num_voxels, want.num_voxels) << what;
     ASSERT_EQ(got.detections.size(), want.detections.size()) << what;
     for (std::size_t i = 0; i < want.detections.size(); ++i) {
       const auto& a = want.detections[i];
@@ -717,13 +722,77 @@ TEST(DetectorTest, ScratchReuseIsBitIdentical) {
   }
 }
 
-TEST(DetectorTest, TimingsArePopulated) {
+// Complete ("X") trace events named `name`, in export order, without the
+// "parallel" copies ThreadPool workers re-open.
+std::vector<obs::json::Value> TraceEvents(const std::string& name) {
+  std::ostringstream out;
+  obs::Tracer::Global().WriteChromeTrace(out);
+  const auto doc = obs::json::Parse(out.str());
+  std::vector<obs::json::Value> events;
+  if (!doc.has_value()) return events;
+  for (const auto& e : doc->Find("traceEvents")->array) {
+    if (e.Find("ph")->str == "X" && e.Find("name")->str == name &&
+        e.Find("cat")->str != "parallel") {
+      events.push_back(e);
+    }
+  }
+  return events;
+}
+
+TEST(DetectorTest, StageSpansNestInsideDetect) {
   sim::Scene scene;
   scene.AddObject(sim::ObjectClass::kCar, sim::MakeCarBox({10, 0, 0}, 0.0), 0.6);
-  const auto result = DenseDetector().Detect(ScanScene(scene, 64));
-  EXPECT_GT(result.timings.voxelize_us, 0.0);
-  EXPECT_GT(result.timings.TotalUs(), result.timings.voxelize_us);
-  EXPECT_GT(result.num_voxels, 0u);
+  const pc::PointCloud cloud = ScanScene(scene, 64);
+  obs::SetEnabled(true);
+  obs::Tracer::Global().Clear();
+  const auto result = DenseDetector().DetectPreprocessed(cloud);
+  ASSERT_FALSE(result.detections.empty());
+
+  // One `spod.detect` span holds the three stage spans, on its thread and in
+  // pipeline order.  Exported times are rounded to 1 ns.
+  const auto detect = TraceEvents("spod.detect");
+  ASSERT_EQ(detect.size(), 1u);
+  const double begin = detect[0].Find("ts")->number;
+  const double end = begin + detect[0].Find("dur")->number;
+  double previous_end = begin;
+  for (const char* name : {"spod.preprocess", "spod.cluster",
+                           "spod.proposals"}) {
+    const auto stage = TraceEvents(name);
+    ASSERT_EQ(stage.size(), 1u) << name;
+    const double ts = stage[0].Find("ts")->number;
+    EXPECT_EQ(stage[0].Find("tid")->number, detect[0].Find("tid")->number)
+        << name;
+    EXPECT_GE(ts, previous_end - 2e-3) << name;
+    previous_end = ts + stage[0].Find("dur")->number;
+    EXPECT_LE(previous_end, end + 2e-3) << name;
+  }
+
+  // Single-origin Detect on sparse input: densify is timed inside the same
+  // one `spod.detect` span.
+  obs::Tracer::Global().Clear();
+  SpodConfig sparse = MakeSparseSpodConfig();
+  (void)SpodDetector(sparse, MakeSensorResolution(16, 15.0, -15.0, 1200))
+      .Detect(ScanScene(scene, 16));
+  const auto sparse_detect = TraceEvents("spod.detect");
+  const auto densify = TraceEvents("spod.densify");
+  ASSERT_EQ(sparse_detect.size(), 1u);
+  ASSERT_EQ(densify.size(), 1u);
+  EXPECT_GE(densify[0].Find("ts")->number,
+            sparse_detect[0].Find("ts")->number - 2e-3);
+  EXPECT_LE(densify[0].Find("ts")->number + densify[0].Find("dur")->number,
+            sparse_detect[0].Find("ts")->number +
+                sparse_detect[0].Find("dur")->number + 2e-3);
+  obs::SetEnabled(false);
+
+  // The step digests' voxel count is replay's, not detect's: the occupied
+  // voxels of the above-ground cloud.
+  const SpodConfig config = MakeDenseSpodConfig();
+  const std::uint32_t voxels = replay::FusedVoxelCount(cloud, config);
+  EXPECT_GT(voxels, 0u);
+  EXPECT_EQ(voxels, pc::VoxelGrid(pc::AboveGround(cloud, config.ground_margin),
+                                  config.voxel)
+                        .voxels()
+                        .size());
 }
 
 TEST(DetectorTest, DensifyIsNoOpForDenseConfig) {

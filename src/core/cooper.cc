@@ -144,27 +144,50 @@ Result<pc::PointCloud> CooperPipeline::ReconstructRemoteCloud(
   return remote_cloud;
 }
 
+Result<pc::PointCloud> CooperPipeline::FuseLane(
+    const NavMetadata& local_nav, const ExchangePackage& package,
+    const pc::PointCloud& icp_target, pc::IcpScratch* scratch) const {
+  if (package.level == feat::ExchangeLevel::kVoxelFeatures) {
+    COOPER_ASSIGN_OR_RETURN(const feat::FeatureMap map,
+                            DecodeFeatures(package));
+    return feat::AlignToGrid(
+               map, ReceiverFromSender(local_nav, package.nav),
+               feat::GridSpec::FromVoxelConfig(config_.detector.voxel))
+        .pseudo;
+  }
+  COOPER_ASSIGN_OR_RETURN(pc::PointCloud remote,
+                          ReconstructRemoteCloud(local_nav, package));
+  if (!config_.icp_refinement) return remote;
+  obs::Span icp_span("cooper.icp", "core");
+  return RefineAlignment(std::move(remote), icp_target, scratch);
+}
+
+CooperOutput CooperPipeline::MergeAndDetect(
+    const pc::PointCloud& local_cloud,
+    const std::vector<const pc::PointCloud*>& lanes,
+    std::string_view merge_span) const {
+  CooperOutput out;
+  {
+    obs::Span span(merge_span, "core");
+    out.fused_cloud = detector_.Densify(local_cloud);  // local viewpoint
+    for (const pc::PointCloud* lane : lanes) {
+      out.transmitter_points += lane->size();
+      out.fused_cloud.Merge(*lane);  // Eq. 2: union in the receiver frame
+    }
+  }
+  out.fused = detector_.DetectPreprocessed(out.fused_cloud);
+  return out;
+}
+
 Result<CooperOutput> CooperPipeline::DetectCooperative(
     const pc::PointCloud& local_cloud, const NavMetadata& local_nav,
     const ExchangePackage& package) const {
   obs::Span span("cooper.detect_cooperative", "core");
   COOPER_COUNT("cooper.cooperative_detections");
-  COOPER_ASSIGN_OR_RETURN(pc::PointCloud remote,
-                          ReconstructRemoteCloud(local_nav, package));
-  if (config_.icp_refinement) {
-    obs::Span icp_span("cooper.icp", "core");
-    remote = RefineAlignment(std::move(remote), IcpTarget(local_cloud),
-                             &icp_scratch_);
-  }
-  CooperOutput out;
-  out.transmitter_points = remote.size();
-  {
-    obs::Span merge_span("cooper.merge", "core");
-    out.fused_cloud = detector_.Densify(local_cloud);  // local viewpoint
-    out.fused_cloud.Merge(remote);  // Eq. 2: union of both clouds
-  }
-  out.fused = detector_.DetectPreprocessed(out.fused_cloud);
-  return out;
+  COOPER_ASSIGN_OR_RETURN(
+      const pc::PointCloud remote,
+      FuseLane(local_nav, package, IcpTarget(local_cloud), &icp_scratch_));
+  return MergeAndDetect(local_cloud, {&remote}, "cooper.merge");
 }
 
 }  // namespace cooper::core

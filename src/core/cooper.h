@@ -3,12 +3,16 @@
 // Receiver side: unpack a cooperator's exchange package, reconstruct its
 // cloud in the local frame via the GPS/IMU pose difference (Eq. 1-3), merge
 // with the local scan (Eq. 2) and run the shared SPOD detector on the fused
-// cloud.  The class also exposes the single-shot path so callers can compare
+// cloud.  That fusion is written once: `FuseLane` and `MergeAndDetect`,
+// called by `DetectCooperative` for one package and by `CooperativeSession`
+// for N.  The class also exposes the single-shot path so callers can compare
 // "single shot" vs "Cooper" exactly as the evaluation does.
 #pragma once
 
 #include <optional>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "core/exchange.h"
 #include "core/roi.h"
@@ -96,11 +100,30 @@ class CooperPipeline {
   /// Single-shot perception on the local cloud only.
   spod::SpodResult DetectSingleShot(const pc::PointCloud& local_cloud) const;
 
-  /// Cooperative perception: reconstruct + merge + detect.  Fails with
-  /// DATA_LOSS if the package payload is corrupt.
+  /// Cooperative perception with one package of any exchange level: its
+  /// FuseLane, then MergeAndDetect.  Fails with DATA_LOSS if the package
+  /// payload is corrupt.
   Result<CooperOutput> DetectCooperative(const pc::PointCloud& local_cloud,
                                          const NavMetadata& local_nav,
                                          const ExchangePackage& package) const;
+
+  /// One cooperator's lane: the package's points in the receiver's sensor
+  /// frame.  Cloud levels: ReconstructRemoteCloud, then RefineAlignment
+  /// against `icp_target` (spanned `cooper.icp` when refinement is on).
+  /// Feature level: the decoded map aligned into the detector grid (nav-only
+  /// Eq. 3; ICP needs raw returns), one pseudo-point per site.  `scratch` as
+  /// in RefineAlignment.  Fails with DATA_LOSS on a corrupt payload.
+  Result<pc::PointCloud> FuseLane(const NavMetadata& local_nav,
+                                  const ExchangePackage& package,
+                                  const pc::PointCloud& icp_target,
+                                  pc::IcpScratch* scratch) const;
+
+  /// Eq. 2 and detection: the densified local cloud, then each lane cloud
+  /// in the given order (spanned `merge_span`), then one SPOD pass.  Lane
+  /// order is point order, so callers fix it (the session: by sender id).
+  CooperOutput MergeAndDetect(const pc::PointCloud& local_cloud,
+                              const std::vector<const pc::PointCloud*>& lanes,
+                              std::string_view merge_span) const;
 
   /// Reconstruction only (Eq. 1-3): the package's cloud expressed in the
   /// receiver's sensor frame.

@@ -288,7 +288,9 @@ CooperOutput CooperativeSession::DetectCooperative(
   // Cache-miss reconstructions fan out over the shared pool: each lane only
   // touches its own sender's state, every input is read-only, and the merge
   // below walks lanes in ascending sender order — so the fused cloud is
-  // bit-identical at any thread count.
+  // bit-identical at any thread count.  With the cache off every lane is
+  // the pipeline's own FuseLane, which is also the reference the cached
+  // lanes must reproduce bit for bit.
   if (!misses.empty()) {
     const pc::PointCloud icp_target = pipeline_.IcpTarget(local_cloud);
     const feat::GridSpec ego_grid =
@@ -301,57 +303,38 @@ CooperOutput CooperativeSession::DetectCooperative(
             obs::Span lane_span("session.reconstruct_peer", "core");
             Lane& lane = lanes[misses[j]];
             pc::IcpScratch* scratch = &icp_scratch_pool_.Lane(j);
-            if (lane.package->level == feat::ExchangeLevel::kVoxelFeatures) {
-              // Feature lane: decode (unless the cache already holds the
-              // sender-frame map) and align into the ego grid.  Nav-only
-              // Eq. 3 — no ICP, no densify; the pseudo-points stand in for
-              // the returns the map summarizes.
-              const feat::FeatureMap* sender_map = nullptr;
-              feat::FeatureMap decoded;
-              if (lane.entry != nullptr && lane.entry->has_sender_map) {
-                sender_map = &lane.entry->sender_map;
+            if (!use_cache) {
+              auto ego = pipeline_.FuseLane(local_nav, *lane.package,
+                                            icp_target, scratch);
+              if (ego.ok()) {
+                lane.ego = std::move(*ego);
               } else {
+                lane.status = ego.status();
+              }
+              continue;
+            }
+            ReconEntry& entry = *lane.entry;
+            if (lane.package->level == feat::ExchangeLevel::kVoxelFeatures) {
+              // Feature lane: decode unless ReceiveWire seeded the map, then
+              // align into the ego grid (nav-only Eq. 3, no ICP, no densify).
+              if (!entry.has_sender_map) {
                 auto map_or = DecodeFeatures(*lane.package);
                 if (!map_or.ok()) {
                   lane.status = map_or.status();
                   continue;
                 }
-                if (lane.entry != nullptr) {
-                  lane.entry->sender_map = std::move(*map_or);
-                  lane.entry->has_sender_map = true;
-                  sender_map = &lane.entry->sender_map;
-                } else {
-                  decoded = std::move(*map_or);
-                  sender_map = &decoded;
-                }
+                entry.sender_map = std::move(*map_or);
+                entry.has_sender_map = true;
               }
-              feat::AlignedFeatures aligned = feat::AlignToGrid(
-                  *sender_map,
-                  CooperPipeline::ReceiverFromSender(local_nav,
-                                                     lane.package->nav),
-                  ego_grid);
-              if (lane.entry != nullptr) {
-                lane.entry->ego = std::move(aligned.pseudo);
-                lane.entry->ego_nav = local_nav;
-                lane.entry->has_ego = true;
-              } else {
-                lane.ego = std::move(aligned.pseudo);
-              }
+              entry.ego = feat::AlignToGrid(entry.sender_map,
+                                            CooperPipeline::ReceiverFromSender(
+                                                local_nav, lane.package->nav),
+                                            ego_grid)
+                              .pseudo;
+              entry.ego_nav = local_nav;
+              entry.has_ego = true;
               continue;
             }
-            if (lane.entry == nullptr) {
-              // Cache off: full reconstruct-every-frame path.
-              auto remote =
-                  pipeline_.ReconstructRemoteCloud(local_nav, *lane.package);
-              if (!remote.ok()) {
-                lane.status = remote.status();
-                continue;
-              }
-              lane.ego = pipeline_.RefineAlignment(std::move(*remote),
-                                                   icp_target, scratch);
-              continue;
-            }
-            ReconEntry& entry = *lane.entry;
             obs::Span recon_span("cooper.reconstruct", "core");
             if (!entry.has_sender_frame) {
               auto decoded = DecodePackage(*lane.package);
@@ -379,27 +362,23 @@ CooperOutput CooperativeSession::DetectCooperative(
         });
   }
 
-  stage.emplace("session.merge", "core");
-  CooperOutput out;
-  out.fused_cloud = pipeline_.detector().Densify(local_cloud);
+  // Corrupt payload: evict so this cooperator degrades to single-shot
+  // coverage instead of being retried (and skipped) every frame.  The rest
+  // merge in ascending sender order.
+  std::vector<const pc::PointCloud*> fused_lanes;
+  fused_lanes.reserve(lanes.size());
   for (const Lane& lane : lanes) {
     if (!lane.status.ok()) {
-      // Corrupt payload: evict so this cooperator degrades to single-shot
-      // coverage instead of being retried (and skipped) every frame.
       InvalidateRecon(lane.sender);
       packages_.erase(lane.sender);
       ++stats_.packages_corrupt;
       COOPER_COUNT("session.packages_corrupt");
       continue;
     }
-    const pc::PointCloud& remote =
-        lane.entry != nullptr ? lane.entry->ego : lane.ego;
-    out.transmitter_points += remote.size();
-    out.fused_cloud.Merge(remote);
+    fused_lanes.push_back(use_cache ? &lane.entry->ego : &lane.ego);
   }
   stage.reset();
-  out.fused = pipeline_.detector().DetectPreprocessed(out.fused_cloud);
-  return out;
+  return pipeline_.MergeAndDetect(local_cloud, fused_lanes, "session.merge");
 }
 
 std::vector<std::uint32_t> CooperativeSession::Cooperators() const {

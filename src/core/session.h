@@ -22,7 +22,10 @@
 // replaced, evicted or expired.  Cache misses fan out over the shared
 // ThreadPool and merge in ascending sender order, so the fused cloud — and
 // every detection — is bit-identical at any thread count, with or without
-// the cache.  See DESIGN.md "Session fusion".
+// the cache.  With the cache off each lane is `CooperPipeline::FuseLane`,
+// and every frame merges and detects through `CooperPipeline::
+// MergeAndDetect`, so one cooperator fuses exactly as
+// `CooperPipeline::DetectCooperative` does.  See DESIGN.md "Session fusion".
 //
 // Packages carry one of three exchange levels (feat::ExchangeLevel).  Cloud
 // levels (raw/ROI) follow the path above.  Feature-level packages decode to

@@ -113,7 +113,6 @@ CaseOutcome RunCoopCase(const sim::Scenario& scenario, const sim::CoopCase& cc,
   auto coop = pipeline.DetectCooperative(cloud_a, meta_a, package);
   COOPER_CHECK(coop.ok());
   outcome.result_coop = std::move(coop).value().fused;
-  outcome.points_coop = cloud_a.size() + package.PayloadBytes() / 7;  // approx
 
   // Ground-truth matching.  Boxes are expressed with the vehicles' TRUE
   // poses — evaluation must not inherit the nav error under test.

@@ -48,7 +48,7 @@ struct CaseOutcome {
   std::vector<TargetOutcome> targets;
   spod::SpodResult result_a, result_b, result_coop;
   std::size_t package_payload_bytes = 0;  // compressed ROI payload
-  std::size_t points_a = 0, points_b = 0, points_coop = 0;
+  std::size_t points_a = 0, points_b = 0;
 };
 
 /// Runs one case of a scenario under the given options.

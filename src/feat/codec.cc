@@ -338,8 +338,4 @@ Result<FeatureMap> FeatureCodec::Decode(const std::vector<std::uint8_t>& bytes) 
   return map;
 }
 
-std::size_t FeatureCodec::EncodedSize(const FeatureMap& map) const {
-  return Encode(map).size();
-}
-
 }  // namespace cooper::feat

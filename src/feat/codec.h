@@ -48,9 +48,6 @@ class FeatureCodec {
   /// DATA_LOSS on truncation, corruption or implausible headers.
   static Result<FeatureMap> Decode(const std::vector<std::uint8_t>& bytes);
 
-  /// Size in bytes Encode would produce.
-  std::size_t EncodedSize(const FeatureMap& map) const;
-
   const FeatureCodecConfig& config() const { return config_; }
 
  private:

@@ -169,14 +169,4 @@ Result<PointCloud> CloudCodec::Decode(const std::vector<std::uint8_t>& bytes) {
   return cloud;
 }
 
-std::size_t CloudCodec::EncodedSize(const PointCloud& cloud) const {
-  return Encode(cloud).size();
-}
-
-double CompressionRatio(const PointCloud& cloud, const CodecConfig& config) {
-  if (cloud.empty()) return 1.0;
-  const double raw = static_cast<double>(cloud.size()) * 16.0;
-  return raw / static_cast<double>(CloudCodec(config).EncodedSize(cloud));
-}
-
 }  // namespace cooper::pc

@@ -31,16 +31,10 @@ class CloudCodec {
   /// on truncation or bad magic.
   static Result<PointCloud> Decode(const std::vector<std::uint8_t>& bytes);
 
-  /// Size in bytes Encode would produce, without building the buffer.
-  std::size_t EncodedSize(const PointCloud& cloud) const;
-
   const CodecConfig& config() const { return config_; }
 
  private:
   CodecConfig config_;
 };
-
-/// Compression ratio vs. the raw KITTI float32 layout (16 B/point).
-double CompressionRatio(const PointCloud& cloud, const CodecConfig& config = {});
 
 }  // namespace cooper::pc

@@ -149,18 +149,4 @@ PointCloud AboveGround(const PointCloud& cloud, double margin) {
   return out;
 }
 
-PointCloud FuseClouds(const PointCloud& receiver_cloud,
-                      const PointCloud& transmitter_cloud,
-                      const geom::Pose& receiver_pose,
-                      const geom::Pose& transmitter_pose) {
-  // Eq. 3: transform each transmitter point into the receiver frame using the
-  // pose difference derived from the GPS/IMU readings of both vehicles.
-  const geom::Pose tx_to_rx = geom::Pose::Between(receiver_pose, transmitter_pose);
-  PointCloud fused = receiver_cloud;
-  fused.reserve(receiver_cloud.size() + transmitter_cloud.size());
-  // Eq. 2: union of both coordinate sets in the receiver frame.
-  fused.Merge(transmitter_cloud.Transformed(tx_to_rx));
-  return fused;
-}
-
 }  // namespace cooper::pc

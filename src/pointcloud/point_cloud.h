@@ -102,12 +102,4 @@ double EstimateGroundZ(const PointCloud& cloud,
 /// margin), without copying the cloud.
 PointCloud AboveGround(const PointCloud& cloud, double margin);
 
-/// Eq. 2-3 in one step: transform `transmitter_cloud` from the transmitter's
-/// frame to the receiver's frame (via the pose difference) and union it with
-/// `receiver_cloud`.
-PointCloud FuseClouds(const PointCloud& receiver_cloud,
-                      const PointCloud& transmitter_cloud,
-                      const geom::Pose& receiver_pose,
-                      const geom::Pose& transmitter_pose);
-
 }  // namespace cooper::pc

@@ -12,6 +12,7 @@
 #include "net/serialize.h"
 #include "obs/metrics.h"
 #include "sim/lidar.h"
+#include "sim/scenario.h"
 #include "sim/scene.h"
 
 namespace cooper::core {
@@ -272,6 +273,73 @@ TEST(CooperPipelineTest, NonFiniteScanPointsAreDroppedAtEveryLevel) {
                 2, 0.0, RoiCategory::kFrontSector, s.nav_b, s.cloud_b)));
   EXPECT_EQ(dropped.Value() - before, num_bad);
   obs::SetEnabled(false);
+}
+
+// --- One fusion path: lane (Eq. 3) + merge-and-detect (Eq. 2) ---
+
+TEST(CooperPipelineTest, ReceiverFromSenderAlignsWorldPoints) {
+  // A world point observed by two vehicles must land at the same
+  // coordinates in the receiver frame after the Eq. 3 transform.
+  const geom::Vec3 world{12, -5, 1};
+  const NavMetadata rx{{2, 3, 0}, {0.4, 0, 0}, {0, 0, 1.7}};
+  const NavMetadata tx{{-7, 9, 0}, {-1.1, 0, 0}, {0.3, 0, 1.9}};
+  const geom::Vec3 seen_by_rx = rx.SensorPose().Inverse() * world;
+  const geom::Vec3 aligned = CooperPipeline::ReceiverFromSender(rx, tx) *
+                             (tx.SensorPose().Inverse() * world);
+  EXPECT_NEAR(aligned.x, seen_by_rx.x, 1e-9);
+  EXPECT_NEAR(aligned.y, seen_by_rx.y, 1e-9);
+  EXPECT_NEAR(aligned.z, seen_by_rx.z, 1e-9);
+}
+
+TEST(CooperPipelineTest, FusedCloudIsDensifiedLocalPlusTransmitter) {
+  // 16 beams, so densify changes the local point count: the fused cloud is
+  // exactly the densified local scan plus the lane's points.
+  sim::Scenario scenario = sim::MakeTjScenario(2);
+  scenario.lidar.azimuth_steps = 900;
+  const sim::LidarSimulator lidar(scenario.lidar);
+  Rng rng(scenario.seed);
+  const geom::Vec3 mount{0, 0, scenario.lidar.sensor_height};
+  const auto& ego = scenario.viewpoints[0];
+  const auto& peer = scenario.viewpoints[1];
+  const pc::PointCloud local = lidar.Scan(scenario.scene, ego.ToPose(), rng);
+  const pc::PointCloud remote = lidar.Scan(scenario.scene, peer.ToPose(), rng);
+  const CooperPipeline pipeline(eval::MakeCooperConfig(scenario.lidar));
+  const auto package = pipeline.MakePackage(
+      1, 0.0, RoiCategory::kFullFrame,
+      NavMetadata{peer.position, peer.attitude, mount}, remote);
+  const auto coop = pipeline.DetectCooperative(
+      local, NavMetadata{ego.position, ego.attitude, mount}, package);
+  ASSERT_TRUE(coop.ok());
+  const std::size_t densified = pipeline.detector().Densify(local).size();
+  EXPECT_NE(densified, local.size());
+  EXPECT_GT(coop->transmitter_points, 0u);
+  EXPECT_EQ(coop->fused_cloud.size(), densified + coop->transmitter_points);
+}
+
+TEST(CooperPipelineTest, MergeAndDetectAppendsLanesInOrder) {
+  // Eq. 2 is a plain union: the densified local cloud, then every lane's
+  // points untouched, in the order the lanes are given.
+  const CooperPipeline pipeline(eval::MakeCooperConfig(sim::Vlp16Config()));
+  pc::PointCloud local, a, b;
+  local.Add({4, 0, -1}, 0.5f);
+  a.Add({1, 1, 1}, 0.1f);
+  b.Add({2, 2, 2}, 0.2f);
+  b.Add({3, 3, 3}, 0.3f);
+  const CooperOutput out = pipeline.MergeAndDetect(local, {&b, &a}, "merge");
+  const pc::PointCloud densified = pipeline.detector().Densify(local);
+  EXPECT_EQ(out.transmitter_points, 3u);
+  ASSERT_EQ(out.fused_cloud.size(), densified.size() + 3);
+  for (std::size_t i = 0; i < densified.size(); ++i) {
+    EXPECT_EQ(out.fused_cloud[i].position.x, densified[i].position.x) << i;
+  }
+  const std::vector<pc::Point> tail = {b[0], b[1], a[0]};
+  for (std::size_t i = 0; i < tail.size(); ++i) {
+    const pc::Point& p = out.fused_cloud[densified.size() + i];
+    EXPECT_EQ(p.position.x, tail[i].position.x) << i;
+    EXPECT_EQ(p.position.y, tail[i].position.y) << i;
+    EXPECT_EQ(p.position.z, tail[i].position.z) << i;
+    EXPECT_EQ(p.reflectance, tail[i].reflectance) << i;
+  }
 }
 
 }  // namespace

@@ -193,43 +193,6 @@ TEST(PointCloudTest, CountInBox) {
   EXPECT_EQ(c.CountInBox(box), manual);
 }
 
-// --- Fusion (Eq. 2-3) ---
-
-TEST(FusionTest, FuseCloudsAlignsWorldPoints) {
-  // A world point observed by two vehicles must land at the same coordinates
-  // in the receiver frame after fusion.
-  const geom::Vec3 world{12, -5, 1};
-  const geom::Pose rx = geom::Pose::FromGpsImu({2, 3, 0}, {0.4, 0, 0});
-  const geom::Pose tx = geom::Pose::FromGpsImu({-7, 9, 0}, {-1.1, 0, 0});
-  PointCloud rx_cloud, tx_cloud;
-  rx_cloud.Add(rx.Inverse() * world, 0.1f);
-  tx_cloud.Add(tx.Inverse() * world, 0.2f);
-
-  const PointCloud fused = FuseClouds(rx_cloud, tx_cloud, rx, tx);
-  ASSERT_EQ(fused.size(), 2u);
-  EXPECT_NEAR(fused[0].position.x, fused[1].position.x, 1e-9);
-  EXPECT_NEAR(fused[0].position.y, fused[1].position.y, 1e-9);
-  EXPECT_NEAR(fused[0].position.z, fused[1].position.z, 1e-9);
-}
-
-TEST(FusionTest, PointCountConserved) {
-  Rng rng(4);
-  const PointCloud a = RandomCloud(123, rng);
-  const PointCloud b = RandomCloud(77, rng);
-  const PointCloud fused = FuseClouds(a, b, geom::Pose::Identity(),
-                                      geom::Pose::Identity());
-  EXPECT_EQ(fused.size(), 200u);
-}
-
-TEST(FusionTest, IdentityPosesArePlainUnion) {
-  PointCloud a, b;
-  a.Add({1, 1, 1}, 0.0f);
-  b.Add({2, 2, 2}, 0.0f);
-  const PointCloud fused = FuseClouds(a, b, geom::Pose::Identity(),
-                                      geom::Pose::Identity());
-  EXPECT_DOUBLE_EQ(fused[1].position.x, 2.0);
-}
-
 // --- Voxel grid ---
 
 TEST(VoxelGridTest, GroupsPointsByVoxel) {
@@ -553,7 +516,9 @@ TEST(CodecTest, CompressesVsRawLayout) {
     const double az = 0.002 * i;
     c.Add({20 * std::cos(az), 20 * std::sin(az), -1.5}, 0.3f);
   }
-  EXPECT_GT(CompressionRatio(c), 2.0);
+  const double raw_bytes = 16.0 * static_cast<double>(c.size());
+  EXPECT_GT(raw_bytes / static_cast<double>(CloudCodec().Encode(c).size()),
+            2.0);
 }
 
 TEST(CodecTest, BadMagicRejected) {
@@ -570,13 +535,6 @@ TEST(CodecTest, TruncationRejectedAtEveryPrefix) {
     const std::vector<std::uint8_t> prefix(bytes.begin(), bytes.begin() + cut);
     EXPECT_FALSE(CloudCodec::Decode(prefix).ok()) << "prefix " << cut;
   }
-}
-
-TEST(CodecTest, EncodedSizeMatchesEncode) {
-  Rng rng(12);
-  const PointCloud c = RandomCloud(321, rng);
-  const CloudCodec codec;
-  EXPECT_EQ(codec.EncodedSize(c), codec.Encode(c).size());
 }
 
 // --- VoxelCoordHash ---

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "core/session.h"
@@ -10,6 +11,7 @@
 #include "net/serialize.h"
 #include "sim/lidar.h"
 #include "sim/scenario.h"
+#include "sim/scene.h"
 
 namespace cooper::core {
 namespace {
@@ -586,6 +588,111 @@ TEST(SessionParallelTest, FeatureFusionBitIdenticalAcrossThreadsAndCache) {
   ExpectBitIdentical(baseline, run(false, 4), "feat uncached 4 threads");
   ExpectBitIdentical(baseline, run(true, 1), "feat cached 1 thread");
   ExpectBitIdentical(baseline, run(true, 4), "feat cached 4 threads");
+}
+
+// ---------------------------------------------------------------------------
+// One fusion path: for a single cooperator, CooperPipeline::DetectCooperative
+// and a CooperativeSession holding the same package must fuse to the same
+// bytes.
+
+struct DriftedPair {
+  CooperConfig config;
+  pc::PointCloud local, remote;
+  NavMetadata local_nav, remote_nav;
+};
+
+// Two cars and a wall seen from two 64-beam vehicles; the cooperator reports
+// GPS with 1.5 m drift, so ICP refinement has real work to do (the setup of
+// IcpPipelineTest.RefinementRecoversLargeGpsDrift).
+DriftedPair MakeDriftedPair() {
+  sim::Scene scene;
+  scene.AddObject(sim::ObjectClass::kCar, sim::MakeCarBox({12, 3, 0}, 10.0),
+                  0.6);
+  scene.AddObject(sim::ObjectClass::kCar, sim::MakeCarBox({18, -4, 0}, 170.0),
+                  0.6);
+  scene.AddObject(sim::ObjectClass::kWall,
+                  sim::MakeWallBox({25, 5, 0}, 30.0, 14.0), 0.3);
+  sim::LidarConfig lidar_cfg = sim::Hdl64Config();
+  lidar_cfg.azimuth_steps = 720;
+  Rng rng(29);
+  const sim::LidarSimulator lidar(lidar_cfg);
+  DriftedPair s;
+  s.config = eval::MakeCooperConfig(lidar_cfg);
+  s.local = lidar.Scan(scene, geom::Pose::Identity(), rng);
+  s.remote = lidar.Scan(
+      scene, geom::Pose::FromGpsImu({6, 2, 0}, {geom::DegToRad(15), 0, 0}),
+      rng);
+  const geom::Vec3 mount{0, 0, lidar_cfg.sensor_height};
+  s.local_nav = NavMetadata{{0, 0, 0}, {0, 0, 0}, mount};
+  s.remote_nav =
+      NavMetadata{{6 + 1.1, 2 - 1.0, 0}, {geom::DegToRad(15), 0, 0}, mount};
+  return s;
+}
+
+// Pipeline and session outputs for `package` at {1, 4} threads x {cache
+// off, on}, ICP off and on, all bit-identical to the 1-thread pipeline.  The
+// session fuses two frames, so a cache hit is compared too.
+void ExpectSessionMatchesPipeline(const DriftedPair& s,
+                                  const ExchangePackage& package) {
+  for (const bool icp : {false, true}) {
+    CooperConfig cfg = s.config;
+    cfg.icp_refinement = icp;
+    const std::string mode = icp ? "icp on" : "icp off";
+    const auto expected =
+        CooperPipeline(cfg).DetectCooperative(s.local, s.local_nav, package);
+    ASSERT_TRUE(expected.ok()) << mode << ": " << expected.status().ToString();
+    EXPECT_GT(expected->transmitter_points, 0u) << mode;
+    for (const int threads : {1, 4}) {
+      cfg.num_threads = threads;
+      const std::string at = mode + ", " + std::to_string(threads) + " threads";
+      const auto piped =
+          CooperPipeline(cfg).DetectCooperative(s.local, s.local_nav, package);
+      ASSERT_TRUE(piped.ok()) << at;
+      ExpectBitIdentical(*expected, *piped, "pipeline, " + at);
+      for (const bool cache : {false, true}) {
+        SessionConfig sc;
+        sc.cache_reconstructions = cache;
+        CooperativeSession session(cfg, sc);
+        ASSERT_TRUE(
+            session.ReceiveWire(net::SerializePackage(package), 10.0).ok());
+        for (const double now_s : {10.0, 10.1}) {
+          ExpectBitIdentical(
+              *expected, session.DetectCooperative(s.local, s.local_nav, now_s),
+              "session, " + at + (cache ? ", cache on" : ", cache off"));
+        }
+      }
+    }
+  }
+}
+
+TEST(SessionParityTest, CloudPackageMatchesPipeline) {
+  const DriftedPair s = MakeDriftedPair();
+  const ExchangePackage package =
+      CooperPipeline(s.config).MakePackage(2, 10.0, RoiCategory::kFullFrame,
+                                           s.remote_nav, s.remote);
+  ExpectSessionMatchesPipeline(s, package);
+  // ICP must move the drifted cooperator's points, or the ICP-on half of the
+  // check would only repeat the ICP-off half.
+  CooperConfig refined = s.config;
+  refined.icp_refinement = true;
+  const auto with_icp =
+      CooperPipeline(refined).DetectCooperative(s.local, s.local_nav, package);
+  const auto without_icp =
+      CooperPipeline(s.config).DetectCooperative(s.local, s.local_nav, package);
+  ASSERT_TRUE(with_icp.ok() && without_icp.ok());
+  const std::size_t last = with_icp->fused_cloud.size() - 1;
+  EXPECT_NE(with_icp->fused_cloud[last].position.x,
+            without_icp->fused_cloud[last].position.x);
+}
+
+TEST(SessionParityTest, FeaturePackageMatchesPipeline) {
+  // The pipeline fuses a feature-level package through the same lane as the
+  // session: its pseudo-points, never ICP-refined.
+  const DriftedPair s = MakeDriftedPair();
+  const ExchangePackage package = CooperPipeline(s.config).MakeLeveledPackage(
+      2, 10.0, RoiCategory::kFrontSector, feat::ExchangeLevel::kVoxelFeatures,
+      s.remote_nav, s.remote);
+  ExpectSessionMatchesPipeline(s, package);
 }
 
 TEST(SessionTest, UnknownLevelPackageCountedAndRejected) {
